@@ -1,8 +1,8 @@
 (* Epoch-batched deferred protection, measured head to head: the same
    allocator-driving workloads run under the eager shadow-pool scheme
-   and under [Runtime.Schemes.shadow_pool_epoch], and the row records
-   protection syscalls (mremap + mprotect + munmap) per heap operation
-   for both, plus the ratio the validator pins (epoch must cut churn
+   and under [Runtime.Schemes.shadow_pool]'s [Epoch] mode, and the row
+   records protection syscalls (mremap + mprotect + munmap) per heap
+   operation for both, plus the ratio the validator pins (epoch must cut churn
    syscalls/op to at most a quarter of eager; the design target is a
    tenth).
 
@@ -68,7 +68,7 @@ let measure make_scheme workload ~ops =
   let scheme : Runtime.Scheme.t = make_scheme machine in
   workload scheme ~ops;
   (match Runtime.Schemes.introspect scheme with
-   | Runtime.Schemes.Shadow_pool_epoch { drain; _ } -> drain ()
+   | Runtime.Schemes.Shadow_pool { drain; _ } -> drain ()
    | _ -> ());
   let s = Vmm.Stats.snapshot machine.Vmm.Machine.stats in
   let heap_ops = Vmm.Stats.heap_ops s in
@@ -81,7 +81,10 @@ let measure make_scheme workload ~ops =
 
 let epoch_stats_of scheme =
   match Runtime.Schemes.introspect scheme with
-  | Runtime.Schemes.Shadow_pool_epoch { epoch; _ } -> epoch ()
+  | Runtime.Schemes.Shadow_pool { stats; _ } -> (
+    match stats () with
+    | Runtime.Schemes.Epoch_stats s -> s
+    | _ -> assert false)
   | _ -> assert false
 
 (* ---- probes: the quarantine window must never hide a dangling use ---- *)
@@ -97,7 +100,7 @@ let classify_detection ~backstop_before scheme =
    software backstop can see it. *)
 let probe_in_window () =
   let machine = Vmm.Machine.create () in
-  let scheme = Runtime.Schemes.shadow_pool_epoch machine in
+  let scheme = Runtime.Scheme_spec.(build ours_epoch) machine in
   let a = scheme.Runtime.Scheme.malloc ~site:"probe.c:1" 48 in
   scheme.Runtime.Scheme.store a ~width:8 7;
   scheme.Runtime.Scheme.free ~site:"probe.c:2" a;
@@ -111,8 +114,13 @@ let probe_in_window () =
    already PROT_NONE — the MMU path, not the backstop, must fire. *)
 let probe_at_retirement () =
   let machine = Vmm.Machine.create () in
-  let scheme = Runtime.Schemes.shadow_pool_epoch
-      ~config:{ Runtime.Schemes.default_epoch_config with max_frees = 4 } machine in
+  let scheme =
+    Runtime.Schemes.shadow_pool
+      ~config:
+        (Runtime.Schemes.Epoch
+           { Runtime.Schemes.default_epoch_config with max_frees = 4 })
+      machine
+  in
   let victims =
     List.init 4 (fun i ->
         let a =
@@ -132,12 +140,12 @@ let probe_at_retirement () =
    scheme's post-free state. *)
 let probe_post_retirement () =
   let machine = Vmm.Machine.create () in
-  let scheme = Runtime.Schemes.shadow_pool_epoch machine in
+  let scheme = Runtime.Scheme_spec.(build ours_epoch) machine in
   let a = scheme.Runtime.Scheme.malloc ~site:"probe.c:1" 48 in
   scheme.Runtime.Scheme.store a ~width:8 7;
   scheme.Runtime.Scheme.free ~site:"probe.c:2" a;
   (match Runtime.Schemes.introspect scheme with
-   | Runtime.Schemes.Shadow_pool_epoch { drain; _ } -> drain ()
+   | Runtime.Schemes.Shadow_pool { drain; _ } -> drain ()
    | _ -> assert false);
   match scheme.Runtime.Scheme.load a ~width:8 with
   | _ -> { detected = false; via = "none" }
@@ -165,7 +173,7 @@ let run ~smoke () =
         let epoch =
           measure
             (fun m ->
-              let s = Runtime.Schemes.shadow_pool_epoch m in
+              let s = Runtime.Scheme_spec.(build ours_epoch) m in
               epoch_scheme := Some s;
               s)
             workload ~ops
@@ -211,9 +219,10 @@ let run ~smoke () =
         let r =
           measure
             (fun m ->
-              Runtime.Schemes.shadow_pool_epoch
+              Runtime.Schemes.shadow_pool
                 ~config:
-                  { Runtime.Schemes.default_epoch_config with max_frees }
+                  (Runtime.Schemes.Epoch
+                     { Runtime.Schemes.default_epoch_config with max_frees })
                 m)
             churn ~ops
         in

@@ -199,7 +199,11 @@ let ablation_shadow_va_reuse () =
   print_endline "-- shadow-page VA reuse (bh, fresh tree pool per step) --";
   let run reuse =
     let m = Vmm.Machine.create () in
-    let scheme = Runtime.Schemes.shadow_pool ~config:{ Runtime.Schemes.reuse_shadow_va = reuse } m in
+    let scheme =
+      Runtime.Schemes.shadow_pool
+        ~config:(Runtime.Schemes.Eager { reuse_shadow_va = reuse })
+        m
+    in
     (match Workload.Catalog.find_batch "bh" with
      | Some b -> b.Workload.Spec.run scheme ~scale:100
      | None -> failwith "bh missing");
@@ -361,10 +365,10 @@ let micro_tests =
     steady "malloc+free/native" Runtime.Schemes.native;
     steady "malloc+free/shadow-pool" (fun m -> Runtime.Schemes.shadow_pool m);
     steady "malloc+free/capability" (fun m ->
-        Baseline.Capability_check.scheme m);
+        Runtime.Capability_check.scheme m);
     Test.make ~name:"malloc+free/efence-with-setup"
       (Staged.stage (fun () ->
-           let scheme = Baseline.Efence.scheme (Vmm.Machine.create ()) in
+           let scheme = Runtime.Efence.scheme (Vmm.Machine.create ()) in
            let a = scheme.Runtime.Scheme.malloc 48 in
            scheme.Runtime.Scheme.free a));
     Test.make ~name:"mmu-load/hot"

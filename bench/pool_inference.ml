@@ -1,11 +1,11 @@
 (* Static pool inference, measured end to end: each MiniC workload is
    analysed by Minic.Poolify (DSA-driven pool partitioning) and run
-   twice under Runtime.Schemes.shadow_pool_inferred — once transformed,
-   so every inferred pool is a separate shadow pool whose destroy
-   bulk-unmaps its shadow VA, and once untransformed, so every object
-   lands in the single global pool and no VA is ever released (the
-   scheme has no recycler on purpose: live shadow VA tracks inferred
-   lifetimes and nothing else).
+   twice under Runtime.Schemes.shadow_pool's Scoped mode — once
+   transformed, so every inferred pool is a separate shadow pool whose
+   destroy bulk-unmaps its shadow VA, and once untransformed, so every
+   object lands in the single global pool and no VA is ever released
+   (the mode has no recycler on purpose: live shadow VA tracks
+   inferred lifetimes and nothing else).
 
    The row records the peak live shadow pages under both placements —
    the inferred peak must come in strictly lower on workloads with
@@ -195,7 +195,7 @@ type run_stats = {
 
 let run_under program =
   let machine = Vmm.Machine.create () in
-  let scheme = Runtime.Schemes.shadow_pool_inferred machine in
+  let scheme = Runtime.Scheme_spec.(build ours_inferred) machine in
   let violations = ref [] in
   let hook ~fname ~pos (_ : Shadow.Report.t) =
     violations := (fname, pos) :: !violations
@@ -208,7 +208,10 @@ let run_under program =
   let s = Vmm.Stats.snapshot machine.Vmm.Machine.stats in
   let inferred =
     match Runtime.Schemes.introspect scheme with
-    | Runtime.Schemes.Shadow_pool_inferred { inferred; _ } -> inferred ()
+    | Runtime.Schemes.Shadow_pool { stats; _ } -> (
+      match stats () with
+      | Runtime.Schemes.Scoped_stats s -> s
+      | _ -> assert false)
     | _ -> assert false
   in
   {

@@ -1,7 +1,7 @@
 (* Static protection elision, measured end to end: each MiniC workload
    is analysed by Minic.Dangling, pool-transformed, then run twice on
    fresh machines — once under the full shadow-pool scheme and once
-   under Runtime.Schemes.shadow_pool_static with the analysis's
+   under Runtime.Schemes.shadow_pool's Elided mode with the analysis's
    elide_policy.  The row records how many allocations skipped the
    shadow alias and how many mremap/mprotect syscalls that saved, plus a
    differential check that both runs print the same values.
@@ -257,14 +257,18 @@ let run () =
         let stats_box = ref None in
         let static_scheme machine =
           let scheme =
-            Runtime.Schemes.shadow_pool_static
-              ~config:{ Runtime.Schemes.elide = Minic.Dangling.elide_policy result }
+            Runtime.Schemes.shadow_pool
+              ~config:
+                (Runtime.Schemes.Elided
+                   { elide = Minic.Dangling.elide_policy result })
               machine
           in
           let finish () =
             match Runtime.Schemes.introspect scheme with
-            | Runtime.Schemes.Shadow_pool_static { elision; _ } ->
-              stats_box := Some (elision ())
+            | Runtime.Schemes.Shadow_pool { stats; _ } -> (
+              match stats () with
+              | Runtime.Schemes.Elided_stats s -> stats_box := Some s
+              | _ -> assert false)
             | _ -> assert false
           in
           (scheme, finish)
@@ -320,14 +324,18 @@ let run () =
         let stats_box = ref None in
         let static_scheme machine =
           let scheme =
-            Runtime.Schemes.shadow_pool_static
-              ~config:{ Runtime.Schemes.elide = Minic.Dangling.elide_policy result }
+            Runtime.Schemes.shadow_pool
+              ~config:
+                (Runtime.Schemes.Elided
+                   { elide = Minic.Dangling.elide_policy result })
               machine
           in
           let finish () =
             match Runtime.Schemes.introspect scheme with
-            | Runtime.Schemes.Shadow_pool_static { elision; _ } ->
-              stats_box := Some (elision ())
+            | Runtime.Schemes.Shadow_pool { stats; _ } -> (
+              match stats () with
+              | Runtime.Schemes.Elided_stats s -> stats_box := Some s
+              | _ -> assert false)
             | _ -> assert false
           in
           (scheme, finish)

@@ -15,8 +15,9 @@ let () =
 
   (* The full scheme from the paper: shadow pages over pool allocation.
      [Runtime.Schemes] also offers [native], [pa], [shadow_basic], and
-     the [Baseline] library has Electric Fence, a Valgrind-style checker
-     and a capability checker behind the same interface. *)
+     [Runtime.Efence], [Runtime.Valgrind_sim] and
+     [Runtime.Capability_check] put Electric Fence, a Valgrind-style
+     checker and a capability checker behind the same interface. *)
   let scheme = Runtime.Schemes.shadow_pool machine in
 
   (* malloc: one word bigger under the hood, placed by the ordinary

@@ -24,13 +24,12 @@ let measure ?connections (server : Workload.Spec.server) =
     let scheme = Experiment.make_scheme Experiment.ours () in
     server.Workload.Spec.handler i scheme;
     (match Runtime.Schemes.introspect scheme with
-     | Runtime.Schemes.Shadow_pool { global; recycler }
-     | Runtime.Schemes.Shadow_pool_static { global; recycler; _ }
-     | Runtime.Schemes.Shadow_pool_epoch { global; recycler; _ } ->
+     | Runtime.Schemes.Shadow_pool { global; recycler; _ } ->
        wasted := !wasted + Shadow.Shadow_pool.shadow_pages_live global;
-       recycled := !recycled + Apa.Page_recycler.total_recycled_pages recycler
-     | Runtime.Schemes.Shadow_pool_inferred { global; _ } ->
-       wasted := !wasted + Shadow.Shadow_pool.shadow_pages_live global
+       Option.iter
+         (fun r ->
+           recycled := !recycled + Apa.Page_recycler.total_recycled_pages r)
+         recycler
      | Runtime.Schemes.Tagged { recycler; _ } ->
        recycled := !recycled + Apa.Page_recycler.total_recycled_pages recycler
      | Runtime.Schemes.Opaque | Runtime.Schemes.Recoverable _ -> ());

@@ -44,7 +44,6 @@ let all_configs =
     ]
 
 let make_scheme config ?(pa_quality_gain = 1.0) ?trace () =
-  Baseline.Register.install ();
   let machine =
     Vmm.Machine.create
       ~cost:(Runtime.Scheme_spec.cost_profile config ~pa_quality_gain)

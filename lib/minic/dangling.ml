@@ -24,8 +24,9 @@
    only trap on a use the analysis marked May/Must, never on a
    Safe-marked one — which is exactly what lets the runtime skip shadow
    protection for allocation sites whose class has only Safe uses (see
-   [Runtime.Schemes.shadow_pool_static]).  The differential oracle in
-   test/test_dangling.ml enforces this against the interpreter. *)
+   [Runtime.Schemes.shadow_pool]'s [Elided] mode).  The differential
+   oracle in test/test_dangling.ml enforces this against the
+   interpreter. *)
 
 module VMap = Map.Make (String)
 module S = Set.Make (String)

@@ -13,7 +13,7 @@
     at a site marked {!May_uaf} or {!Must_uaf}; allocation sites whose
     class has only {!Safe} uses may therefore skip runtime shadow
     protection without losing detections — see {!elide_policy} and
-    [Runtime.Schemes.shadow_pool_static]. *)
+    the [Elided] mode of [Runtime.Schemes.shadow_pool]. *)
 
 type verdict = Safe | May_uaf | Must_uaf
 

@@ -23,13 +23,10 @@ val shadow_basic :
 (** Governed {!Schemes.shadow_basic}: freelist allocator + shadow heap. *)
 
 val shadow_pool :
-  ?retry:Retry.policy ->
-  ?config:Governor.config ->
-  ?pool:Schemes.pool_config ->
-  Vmm.Machine.t ->
-  t
-(** Governed {!Schemes.shadow_pool}: the full pool-based scheme, with
-    governed sub-pools sharing one governor, registry and recycler. *)
+  ?retry:Retry.policy -> ?config:Governor.config -> Vmm.Machine.t -> t
+(** Governed {!Schemes.shadow_pool} (its default [Eager] mode): the full
+    pool-based scheme, with governed sub-pools sharing one governor,
+    registry and recycler. *)
 
 val backend_ladder :
   ?retry:Retry.policy ->

@@ -5,9 +5,6 @@ type t =
   | Shadow_basic
   | Shadow_pool of Schemes.pool_config
   | Shadow_pool_spatial of Schemes.spatial_config
-  | Shadow_pool_static
-  | Shadow_pool_inferred
-  | Shadow_pool_epoch of Schemes.epoch_config
   | Tagged of Schemes.tagged_config
   | Backend_ladder
   | Efence
@@ -23,9 +20,8 @@ let pa_dummy = Pa { Schemes.dummy_syscalls = true }
 let ours_basic = Shadow_basic
 let ours = Shadow_pool Schemes.default_pool_config
 let ours_bounds = Shadow_pool_spatial Schemes.default_spatial_config
-let ours_static = Shadow_pool_static
-let ours_inferred = Shadow_pool_inferred
-let ours_epoch = Shadow_pool_epoch Schemes.default_epoch_config
+let ours_inferred = Shadow_pool Schemes.Scoped
+let ours_epoch = Shadow_pool (Schemes.Epoch Schemes.default_epoch_config)
 let tagged = Tagged Schemes.default_tagged_config
 let ladder = Backend_ladder
 let efence = Efence
@@ -41,9 +37,8 @@ let all =
     Shadow_basic;
     Shadow_pool Schemes.default_pool_config;
     Shadow_pool_spatial Schemes.default_spatial_config;
-    Shadow_pool_static;
-    Shadow_pool_inferred;
-    Shadow_pool_epoch Schemes.default_epoch_config;
+    Shadow_pool Schemes.Scoped;
+    Shadow_pool (Schemes.Epoch Schemes.default_epoch_config);
     Tagged Schemes.default_tagged_config;
     Backend_ladder;
     Efence;
@@ -52,114 +47,100 @@ let all =
     Recover (Shadow_pool Schemes.default_pool_config);
   ]
 
-let rec to_string = function
-  | Native -> "native"
-  | Llvm_base -> "llvm"
-  | Pa { Schemes.dummy_syscalls = false } -> "pa"
-  | Pa { Schemes.dummy_syscalls = true } -> "pa-dummy"
-  | Shadow_basic -> "ours-basic"
-  | Shadow_pool _ -> "ours"
-  | Shadow_pool_spatial _ -> "ours-bounds"
-  | Shadow_pool_static -> "ours-static"
-  | Shadow_pool_inferred -> "ours-inferred"
-  | Shadow_pool_epoch _ -> "ours-epoch"
-  | Tagged _ -> "tagged"
-  | Backend_ladder -> "ladder"
-  | Efence -> "efence"
-  | Valgrind -> "valgrind"
-  | Capability -> "capability"
-  | Recover base -> to_string base ^ "+recover"
-
 let recover_suffix = "+recover"
 
+(* Each spec's CLI name, paper-table label and one-line description. *)
+let rec describe = function
+  | Native ->
+    ( "native",
+      "native",
+      "unmodified program, native code quality, no detection" )
+  | Llvm_base ->
+    ("llvm", "llvm-base", "unmodified program, LLVM C back-end code quality")
+  | Pa { Schemes.dummy_syscalls = false } ->
+    ("pa", "pa", "automatic pool allocation alone: VA recycling, no detection")
+  | Pa { Schemes.dummy_syscalls = true } ->
+    ( "pa-dummy",
+      "pa+dummy-syscalls",
+      "pools plus one no-op syscall per alloc/free (syscall-cost control)" )
+  | Shadow_basic ->
+    ( "ours-basic",
+      "our-approach (no pools)",
+      "shadow pages over the plain allocator (binary-only mode)" )
+  | Shadow_pool (Schemes.Eager _) ->
+    ( "ours",
+      "our-approach",
+      "the paper's full scheme: shadow pages + pool allocation" )
+  | Shadow_pool (Schemes.Elided _) ->
+    ( "ours-static",
+      "our-approach+static",
+      "shadow pool with static protection elision" )
+  | Shadow_pool Schemes.Scoped ->
+    ( "ours-inferred",
+      "our-approach+inferred",
+      "one shadow pool per statically inferred pool scope; destroy unmaps" )
+  | Shadow_pool (Schemes.Epoch _) ->
+    ( "ours-epoch",
+      "our-approach+epoch",
+      "epoch-batched deferred protection with slab pre-aliasing" )
+  | Shadow_pool_spatial _ ->
+    ( "ours-bounds",
+      "ours+bounds",
+      "shadow pages plus per-access software bounds checks" )
+  | Tagged _ ->
+    ( "tagged",
+      "tagged",
+      "pointer tagging: per-access generation-tag check, instant VA reuse" )
+  | Backend_ladder ->
+    ( "ladder",
+      "backend-ladder",
+      "governor steps backends: shadow -> tagged -> raw, probe-recovered" )
+  | Efence ->
+    ("efence", "electric-fence", "Electric Fence baseline: one object per page")
+  | Valgrind ->
+    ("valgrind", "valgrind-sim", "Valgrind-style interpretation baseline")
+  | Capability ->
+    ("capability", "capability", "capability/fat-pointer checking baseline")
+  | Recover base ->
+    let name, label, description = describe base in
+    ( name ^ recover_suffix,
+      label ^ recover_suffix,
+      description ^ "; violations logged, not fatal" )
+
+let to_string spec =
+  let name, _, _ = describe spec in
+  name
+
+let label spec =
+  let _, label, _ = describe spec in
+  label
+
+let description spec =
+  let _, _, description = describe spec in
+  description
+
 let rec of_string name =
-  match
-    if String.length name > String.length recover_suffix then
-      let cut = String.length name - String.length recover_suffix in
-      if String.sub name cut (String.length recover_suffix) = recover_suffix
-      then Some (String.sub name 0 cut)
-      else None
-    else None
-  with
-  | Some base -> Option.map (fun b -> Recover b) (of_string base)
-  | None -> (
-    match name with
-    | "native" -> Some Native
-    | "llvm" -> Some Llvm_base
-    | "pa" -> Some (Pa Schemes.default_pa_config)
-    | "pa-dummy" -> Some (Pa { dummy_syscalls = true })
-    | "ours-basic" -> Some Shadow_basic
-    | "ours" -> Some (Shadow_pool Schemes.default_pool_config)
-    | "ours-bounds" -> Some (Shadow_pool_spatial Schemes.default_spatial_config)
-    | "ours-static" -> Some Shadow_pool_static
-    | "ours-inferred" -> Some Shadow_pool_inferred
-    | "ours-epoch" -> Some (Shadow_pool_epoch Schemes.default_epoch_config)
-    | "tagged" -> Some (Tagged Schemes.default_tagged_config)
-    | "ladder" -> Some Backend_ladder
-    | "efence" -> Some Efence
-    | "valgrind" -> Some Valgrind
-    | "capability" -> Some Capability
-    | _ -> None)
+  if String.ends_with ~suffix:recover_suffix name then
+    let base =
+      String.sub name 0 (String.length name - String.length recover_suffix)
+    in
+    Option.map (fun b -> Recover b) (of_string base)
+  (* An alias: with no analysis behind it the elision policy is empty,
+     which is exactly "ours". *)
+  else if String.equal name "ours-static" then Some ours
+  else List.find_opt (fun spec -> String.equal (to_string spec) name) all
 
 let names () = List.map to_string all
 
-let rec label = function
-  | Native -> "native"
-  | Llvm_base -> "llvm-base"
-  | Pa { Schemes.dummy_syscalls = false } -> "pa"
-  | Pa { Schemes.dummy_syscalls = true } -> "pa+dummy-syscalls"
-  | Shadow_basic -> "our-approach (no pools)"
-  | Shadow_pool _ -> "our-approach"
-  | Shadow_pool_spatial _ -> "ours+bounds"
-  | Shadow_pool_static -> "our-approach+static"
-  | Shadow_pool_inferred -> "our-approach+inferred"
-  | Shadow_pool_epoch _ -> "our-approach+epoch"
-  | Tagged _ -> "tagged"
-  | Backend_ladder -> "backend-ladder"
-  | Efence -> "electric-fence"
-  | Valgrind -> "valgrind-sim"
-  | Capability -> "capability"
-  | Recover base -> label base ^ "+recover"
-
-let rec description = function
-  | Native -> "unmodified program, native code quality, no detection"
-  | Llvm_base -> "unmodified program, LLVM C back-end code quality"
-  | Pa { Schemes.dummy_syscalls = false } ->
-    "automatic pool allocation alone: VA recycling, no detection"
-  | Pa { Schemes.dummy_syscalls = true } ->
-    "pools plus one no-op syscall per alloc/free (syscall-cost control)"
-  | Shadow_basic -> "shadow pages over the plain allocator (binary-only mode)"
-  | Shadow_pool _ -> "the paper's full scheme: shadow pages + pool allocation"
-  | Shadow_pool_spatial _ ->
-    "shadow pages plus per-access software bounds checks"
-  | Shadow_pool_static ->
-    "shadow pool with static protection elision (empty policy here)"
-  | Shadow_pool_inferred ->
-    "one shadow pool per statically inferred pool scope; destroy unmaps"
-  | Shadow_pool_epoch _ ->
-    "epoch-batched deferred protection with slab pre-aliasing"
-  | Tagged _ ->
-    "pointer tagging: per-access generation-tag check, instant VA reuse"
-  | Backend_ladder ->
-    "governor steps backends: shadow -> tagged -> raw, probe-recovered"
-  | Efence -> "Electric Fence baseline: one object per page"
-  | Valgrind -> "Valgrind-style interpretation baseline"
-  | Capability -> "capability/fat-pointer checking baseline"
-  | Recover base -> description base ^ "; violations logged, not fatal"
-
 let rec detects = function
   | Native | Llvm_base | Pa _ -> false
-  | Shadow_basic | Shadow_pool _ | Shadow_pool_spatial _ | Shadow_pool_static
-  | Shadow_pool_inferred | Shadow_pool_epoch _ | Tagged _ ->
-    true
+  | Shadow_basic | Shadow_pool _ | Shadow_pool_spatial _ | Tagged _ -> true
   | Backend_ladder -> false (* conditional on the ladder staying in Full *)
   | Efence | Valgrind | Capability -> true
   | Recover base -> detects base
 
 let rec uses_pa_profile = function
-  | Pa _ | Shadow_pool _ | Shadow_pool_static | Shadow_pool_inferred
-  | Shadow_pool_epoch _ | Tagged _ | Backend_ladder ->
-    true
+  | Pa _ | Shadow_pool _ | Tagged _ | Backend_ladder -> true
   | Native | Llvm_base | Shadow_basic | Shadow_pool_spatial _ | Efence
   | Valgrind | Capability ->
     false
@@ -177,31 +158,6 @@ let cost_profile spec ~pa_quality_gain =
       (base.Vmm.Cost_model.code_quality *. pa_quality_gain)
   | _ -> Vmm.Cost_model.llvm_base
 
-(* Baselines live a library above this one; their constructors arrive by
-   injection (Baseline.Register.install) before [build] can use them. *)
-type baseline_builders = {
-  efence : Vmm.Machine.t -> Scheme.t;
-  valgrind : Vmm.Machine.t -> Scheme.t;
-  capability : Vmm.Machine.t -> Scheme.t;
-}
-
-let baselines : baseline_builders option ref = ref None
-
-let set_baseline_builders ~efence ~valgrind ~capability =
-  baselines := Some { efence; valgrind; capability }
-
-let baseline which =
-  match !baselines with
-  | Some b -> (
-    match which with
-    | `Efence -> b.efence
-    | `Valgrind -> b.valgrind
-    | `Capability -> b.capability)
-  | None ->
-    invalid_arg
-      "Scheme_spec.build: baseline builders not installed (call \
-       Baseline.Register.install ())"
-
 let rec build spec machine =
   match spec with
   | Native | Llvm_base -> Schemes.native machine
@@ -209,14 +165,9 @@ let rec build spec machine =
   | Shadow_basic -> Schemes.shadow_basic machine
   | Shadow_pool config -> Schemes.shadow_pool ~config machine
   | Shadow_pool_spatial config -> Schemes.shadow_pool_spatial ~config machine
-  | Shadow_pool_static ->
-    Schemes.shadow_pool_static ~config:{ Schemes.elide = (fun _ -> false) }
-      machine
-  | Shadow_pool_inferred -> Schemes.shadow_pool_inferred machine
-  | Shadow_pool_epoch config -> Schemes.shadow_pool_epoch ~config machine
   | Tagged config -> Schemes.tagged ~config machine
   | Backend_ladder -> Governed.scheme (Governed.backend_ladder machine)
-  | Efence -> baseline `Efence machine
-  | Valgrind -> baseline `Valgrind machine
-  | Capability -> baseline `Capability machine
+  | Efence -> Efence.scheme machine
+  | Valgrind -> Valgrind_sim.scheme machine
+  | Capability -> Capability_check.scheme machine
   | Recover base -> Schemes.recoverable (build base machine)

@@ -7,29 +7,19 @@
     the constructor variant with its per-backend config record
     ({!Schemes.pool_config} and friends), so the catalogue, the CLI
     listing ([danguard help]), the README table and the round-trip tests
-    all enumerate the same {!all}.
-
-    Baselines live in the [baseline] library, which depends on this one;
-    their builders are injected via {!set_baseline_builders}
-    ([Baseline.Register.install ()]) before {!build} can construct
-    [Efence]/[Valgrind]/[Capability]. *)
+    all enumerate the same {!all}. *)
 
 type t =
   | Native  (** unmodified program, native code quality *)
   | Llvm_base  (** unmodified program, LLVM C back-end code quality *)
   | Pa of Schemes.pa_config  (** pool allocation alone (no detection) *)
   | Shadow_basic  (** shadow pages, no pools (binary-only mode, §3.2) *)
-  | Shadow_pool of Schemes.pool_config  (** the paper's full scheme (§3.3) *)
+  | Shadow_pool of Schemes.pool_config
+      (** the paper's full scheme (§3.3) in one of its modes: eager
+          protection, static elision, inferred pool scopes or
+          epoch-batched protection *)
   | Shadow_pool_spatial of Schemes.spatial_config
       (** shadow pages + software bounds checks *)
-  | Shadow_pool_static
-      (** the static-elision scheme with the empty policy (elide
-          nothing) — behaviourally {!Shadow_pool} plus elision counters.
-          Real analysis-driven policies carry a function and are built
-          directly via {!Schemes.shadow_pool_static}. *)
-  | Shadow_pool_inferred  (** one shadow pool per inferred pool scope *)
-  | Shadow_pool_epoch of Schemes.epoch_config
-      (** epoch-batched deferred protection *)
   | Tagged of Schemes.tagged_config
       (** pointer-tagging backend: per-access software tag check,
           instant VA reuse *)
@@ -55,7 +45,6 @@ val pa_dummy : t
 val ours_basic : t
 val ours : t
 val ours_bounds : t
-val ours_static : t
 val ours_inferred : t
 val ours_epoch : t
 val tagged : t
@@ -66,20 +55,27 @@ val capability : t
 
 val all : t list
 (** One entry per family, each with its default config (plus
-    ["ours+recover"] as the wrapper's representative).  This is the
-    list [danguard help] prints, the README table is generated from,
-    and the round-trip test walks. *)
+    ["ours+recover"] as the wrapper's representative).  The [Scoped]
+    and [Epoch] shadow-pool modes are entries of their own
+    (["ours-inferred"], ["ours-epoch"]); [Elided] is not, since its
+    policy comes from an analysis run, not a name.  This is the list
+    [danguard help] prints, the README scheme table must match (a test
+    checks it) and the round-trip test walks. *)
 
 val to_string : t -> string
 (** Canonical CLI name (["native"], ["ours"], ["tagged"],
     ["ours+recover"], ...).  Configs do not print: a non-default config
-    renders as its family name, so [to_string] round-trips through
-    {!of_string} exactly for {!all}'s (default-config) entries. *)
+    renders as its family name (the [Elided] shadow-pool mode as
+    ["ours-static"], which {!of_string} reads back as ["ours"]), so
+    [to_string] round-trips through {!of_string} exactly for {!all}'s
+    (default-config) entries. *)
 
 val of_string : string -> t option
 (** Inverse of {!to_string} over default configs; [None] for an unknown
-    name.  The {e only} scheme-name string matching in the tree
-    (grep-gated by [scripts/lint_src.sh]). *)
+    name.  ["ours-static"] is accepted as an alias of ["ours"]: an
+    elision policy cannot be spelled on a command line, and the empty
+    one elides nothing.  The {e only} scheme-name string matching in
+    the tree (grep-gated by [scripts/lint_src.sh]). *)
 
 val names : unit -> string list
 (** [List.map to_string all]. *)
@@ -101,16 +97,5 @@ val cost_profile : t -> pa_quality_gain:float -> Vmm.Cost_model.t
     for [Native], LLVM-base otherwise, with [pa_quality_gain] scaling
     code quality for the pool-based configs (APA's locality effect). *)
 
-val set_baseline_builders :
-  efence:(Vmm.Machine.t -> Scheme.t) ->
-  valgrind:(Vmm.Machine.t -> Scheme.t) ->
-  capability:(Vmm.Machine.t -> Scheme.t) ->
-  unit
-(** Inject the baseline constructors (the [baseline] library sits above
-    this one).  Idempotent; [Baseline.Register.install ()] is the one
-    caller. *)
-
 val build : t -> Vmm.Machine.t -> Scheme.t
-(** Construct the scheme on the given machine.  Raises
-    [Invalid_argument] for a baseline spec before
-    {!set_baseline_builders} was called. *)
+(** Construct the scheme on the given machine. *)

@@ -20,15 +20,9 @@ type pa_config = { dummy_syscalls : bool }
 
 let default_pa_config = { dummy_syscalls = false }
 
-type pool_config = { reuse_shadow_va : bool }
-
-let default_pool_config = { reuse_shadow_va = true }
-
 type spatial_config = { bounds_check_cost : int }
 
 let default_spatial_config = { bounds_check_cost = 6 }
-
-type static_config = { elide : string -> bool }
 
 type epoch_config = {
   max_frees : int;
@@ -39,6 +33,14 @@ type epoch_config = {
 
 let default_epoch_config =
   { max_frees = 64; max_pages = 256; slab_copies = 16; backstop_check_cost = 2 }
+
+type pool_config =
+  | Eager of { reuse_shadow_va : bool }
+  | Elided of { elide : string -> bool }
+  | Scoped
+  | Epoch of epoch_config
+
+let default_pool_config = Eager { reuse_shadow_va = true }
 
 type tagged_config = { tag_bits : int; tag_check_cost : int }
 
@@ -79,26 +81,19 @@ type inferred_stats = {
   destroy_unmapped_pages : int;
 }
 
+type pool_stats =
+  | Eager_stats
+  | Elided_stats of elision_stats
+  | Scoped_stats of inferred_stats
+  | Epoch_stats of epoch_stats
+
 type info =
   | Opaque
   | Shadow_pool of {
       global : Shadow.Shadow_pool.t;
-      recycler : Apa.Page_recycler.t;
-    }
-  | Shadow_pool_static of {
-      global : Shadow.Shadow_pool.t;
-      recycler : Apa.Page_recycler.t;
-      elision : unit -> elision_stats;
-    }
-  | Shadow_pool_epoch of {
-      global : Shadow.Shadow_pool.t;
-      recycler : Apa.Page_recycler.t;
-      epoch : unit -> epoch_stats;
+      recycler : Apa.Page_recycler.t option;
+      stats : unit -> pool_stats;
       drain : unit -> unit;
-    }
-  | Shadow_pool_inferred of {
-      global : Shadow.Shadow_pool.t;
-      inferred : unit -> inferred_stats;
     }
   | Recoverable of {
       base : Scheme.t;
@@ -246,36 +241,283 @@ let shadow_basic machine =
   in
   Lazy.force scheme
 
+(* What one [pool_config] mode contributes to [shadow_pool]: the scheme
+   name, how a pool is made and wrapped (the global pool and every
+   [pool_create] alike), the access path and what [introspect] reports.
+   The mode is chosen once, at build time, so no per-access closure
+   tests it. *)
+type mode = {
+  m_name : string;
+  m_new_pool :
+    ?elem_size:int -> unit -> Shadow.Shadow_pool.t * Scheme.pool_handle;
+  m_load : Addr.t -> width:int -> int;
+  m_store : Addr.t -> width:int -> int -> unit;
+  m_stats : unit -> pool_stats;
+  m_drain : unit -> unit;
+}
+
+let eager_handle pool =
+  {
+    Scheme.pool_alloc =
+      (fun ?site size -> Shadow.Shadow_pool.alloc pool ?site size);
+    pool_free = (fun ?site a -> Shadow.Shadow_pool.free pool ?site a);
+    pool_destroy = (fun () -> Shadow.Shadow_pool.destroy pool);
+  }
+
 let shadow_pool_with_registry ?(config = default_pool_config) machine =
-  let { reuse_shadow_va } = config in
   let registry = Shadow.Object_registry.create () in
-  let recycler = Apa.Page_recycler.create () in
-  let make_pool ?elem_size () =
-    Shadow.Shadow_pool.create ?elem_size ~reuse_shadow_va ~recycler
+  (* [Scoped] has no recycler on purpose: recycling keeps ranges mapped
+     for reuse, which hides exactly what that mode exists to show —
+     that inferred scoped pools bound peak shadow VA (destroy issues
+     real coalesced munmaps). *)
+  let recycler =
+    match config with
+    | Scoped -> None
+    | Eager _ | Elided _ | Epoch _ -> Some (Apa.Page_recycler.create ())
+  in
+  let create ?elem_size ?reuse_shadow_va ?slab () =
+    Shadow.Shadow_pool.create ?elem_size ?reuse_shadow_va ?recycler ?slab
       ~unmap:(retrying_unmap machine) ~registry machine
   in
-  let global = make_pool () in
-  let wrap_pool pool =
+  let load = guarded_load machine registry in
+  let store = guarded_store machine registry in
+  let eager ~reuse_shadow_va =
     {
-      Scheme.pool_alloc =
-        (fun ?site size -> Shadow.Shadow_pool.alloc pool ?site size);
-      pool_free = (fun ?site a -> Shadow.Shadow_pool.free pool ?site a);
-      pool_destroy = (fun () -> Shadow.Shadow_pool.destroy pool);
+      m_name = "shadow-pool";
+      m_new_pool =
+        (fun ?elem_size () ->
+          let pool = create ?elem_size ~reuse_shadow_va () in
+          (pool, eager_handle pool));
+      m_load = load;
+      m_store = store;
+      m_stats = (fun () -> Eager_stats);
+      m_drain = ignore;
     }
   in
-  let global_handle = wrap_pool global in
+  let mode =
+    match config with
+    | Eager { reuse_shadow_va } -> eager ~reuse_shadow_va
+    | Elided { elide } ->
+      (* Sites whose every use is provably Safe take the canonical
+         allocation path (no shadow alias, no mremap/mprotect); every
+         other site — including position-less ones the policy cannot
+         vouch for — keeps the full scheme, so detection at May/Must
+         sites is unchanged. *)
+      let elided_allocs = ref 0 and elided_frees = ref 0 in
+      let protected_allocs = ref 0 and protected_frees = ref 0 in
+      let new_pool ?elem_size () =
+        let pool = create ?elem_size () in
+        ( pool,
+          {
+            (eager_handle pool) with
+            Scheme.pool_alloc =
+              (fun ?(site = "<unknown>") size ->
+                if elide site then begin
+                  let a = Shadow.Shadow_pool.alloc_elided pool size in
+                  incr elided_allocs;
+                  trace_malloc machine site size a;
+                  a
+                end
+                else begin
+                  incr protected_allocs;
+                  Shadow.Shadow_pool.alloc pool ~site size
+                end);
+            pool_free =
+              (fun ?site a ->
+                if Shadow.Shadow_pool.free_elided pool a then begin
+                  incr elided_frees;
+                  trace_free machine (Option.value site ~default:"<unknown>") a
+                end
+                else begin
+                  incr protected_frees;
+                  Shadow.Shadow_pool.free pool ?site a
+                end);
+          } )
+      in
+      {
+        (eager ~reuse_shadow_va:true) with
+        m_name = "shadow-pool+static";
+        m_new_pool = new_pool;
+        m_stats =
+          (fun () ->
+            Elided_stats
+              {
+                elided_allocs = !elided_allocs;
+                elided_frees = !elided_frees;
+                protected_allocs = !protected_allocs;
+                protected_frees = !protected_frees;
+              });
+      }
+    | Scoped ->
+      (* Each [pool_create] is one inferred pool ([Minic.Poolify]) whose
+         destroy releases its whole VA footprint.  Only pools not yet
+         destroyed are summed, and each keeps a running page total, so
+         sampling the peak after every allocation costs one add per
+         live pool. *)
+      let pools = ref [] in
+      let created = ref (-1) (* the global pool is not an inferred one *) in
+      let destroyed = ref 0 and unmapped = ref 0 and peak = ref 0 in
+      let live () =
+        List.fold_left
+          (fun acc p -> acc + Shadow.Shadow_pool.shadow_pages_live p)
+          0 !pools
+      in
+      let new_pool ?elem_size () =
+        incr created;
+        let pool = create ?elem_size () in
+        pools := pool :: !pools;
+        ( pool,
+          {
+            (eager_handle pool) with
+            Scheme.pool_alloc =
+              (fun ?site size ->
+                let a = Shadow.Shadow_pool.alloc pool ?site size in
+                peak := Int.max !peak (live ());
+                a);
+            pool_destroy =
+              (fun () ->
+                if not (Shadow.Shadow_pool.is_destroyed pool) then begin
+                  unmapped :=
+                    !unmapped + Shadow.Shadow_pool.shadow_pages_live pool;
+                  incr destroyed;
+                  pools := List.filter (fun p -> p != pool) !pools;
+                  Shadow.Shadow_pool.destroy pool
+                end);
+          } )
+      in
+      {
+        (eager ~reuse_shadow_va:true) with
+        m_name = "shadow-pool+inferred";
+        m_new_pool = new_pool;
+        m_stats =
+          (fun () ->
+            Scoped_stats
+              {
+                inferred_pools_created = !created;
+                inferred_pools_destroyed = !destroyed;
+                live_shadow_pages = live ();
+                peak_shadow_pages = !peak;
+                destroy_unmapped_pages = !unmapped;
+              });
+      }
+    | Epoch { max_frees; max_pages; slab_copies; backstop_check_cost } ->
+      (* Frees are quarantined per pool and retired with coalesced
+         mprotects; shadow aliases come from slab pre-aliasing.  Inside
+         the quarantine window a software backstop (the epoch's
+         quarantine table, consulted before every access) carries
+         detection; after retirement the MMU path is [Eager]'s.  The
+         batched protect goes through [Retry], and a run that still
+         fails is split per object by the epoch — protection is never
+         silently dropped. *)
+      let backstop_hits = ref 0 in
+      let units : (Shadow.Epoch.t * Shadow.Slab.t) list ref = ref [] in
+      let protect ~addr ~pages =
+        Retry.attempt machine (fun () ->
+            Syscalls.mprotect machine ~addr ~pages Perm.No_access)
+      in
+      let new_pool ?elem_size () =
+        let slab = Shadow.Slab.create ~copies:slab_copies machine in
+        let epoch = Shadow.Epoch.create ~max_frees ~max_pages ~protect () in
+        units := (epoch, slab) :: !units;
+        (* Slab placement supplies the shadow VA, so recycled-VA reuse
+           for shadow ranges is off; canonical pages still recycle. *)
+        let pool = create ?elem_size ~reuse_shadow_va:false ~slab () in
+        ( pool,
+          {
+            Scheme.pool_alloc =
+              (fun ?site size ->
+                Syscalls.ok_or_raise ~name:"Schemes.shadow_pool.alloc"
+                  (Retry.attempt machine (fun () ->
+                       Shadow.Shadow_pool.try_alloc pool ?site size)));
+            pool_free =
+              (fun ?site a ->
+                let obj = Shadow.Shadow_pool.free_deferred pool ?site a in
+                Shadow.Epoch.enqueue epoch obj ~release:(fun () ->
+                    Shadow.Shadow_pool.retire_object pool obj);
+                if Shadow.Epoch.should_retire epoch then
+                  Shadow.Epoch.retire epoch);
+            pool_destroy =
+              (fun () ->
+                (* Retire, never abandon: recycling is VA bookkeeping
+                   only, so an abandoned quarantine would leave
+                   in-window freed pages read-write after the backstop
+                   stops watching them. *)
+                Shadow.Epoch.retire epoch;
+                Shadow.Shadow_pool.destroy pool);
+          } )
+      in
+      (* While any epoch holds pending frees, an access to a quarantined
+         page is a use-after-free the MMU cannot see (the page is still
+         read-write), so it is raised in software with the diagnostics
+         the trap handler would build. *)
+      let backstop access addr =
+        List.iter
+          (fun ((epoch : Shadow.Epoch.t), _) ->
+            if Shadow.Epoch.pending_frees epoch > 0 then begin
+              Stats.count_instructions machine.Machine.stats
+                backstop_check_cost;
+              match Shadow.Epoch.quarantined_obj epoch addr with
+              | Some obj ->
+                incr backstop_hits;
+                let r =
+                  Shadow.Detector.report obj
+                    (Shadow.Report.Use_after_free access) addr
+                in
+                trace_violation machine r;
+                raise (Shadow.Report.Violation r)
+              | None -> ()
+            end)
+          !units
+      in
+      let sum f = List.fold_left (fun acc (e, s) -> acc + f e s) 0 !units in
+      let stats () =
+        Epoch_stats
+          {
+            epochs_retired = sum (fun e _ -> Shadow.Epoch.retirements e);
+            epoch_retired_frees = sum (fun e _ -> Shadow.Epoch.retired_frees e);
+            epoch_pending_frees = sum (fun e _ -> Shadow.Epoch.pending_frees e);
+            coalesced_protects = sum (fun e _ -> Shadow.Epoch.protect_calls e);
+            epoch_split_retries = sum (fun e _ -> Shadow.Epoch.split_retries e);
+            epoch_failed_protects =
+              sum (fun e _ -> Shadow.Epoch.failed_protects e);
+            backstop_hits = !backstop_hits;
+            slab_calls = sum (fun _ s -> Shadow.Slab.slab_calls s);
+            slab_hits = sum (fun _ s -> Shadow.Slab.hits s);
+            slab_misses = sum (fun _ s -> Shadow.Slab.misses s);
+          }
+      in
+      {
+        m_name = "shadow-pool+epoch";
+        m_new_pool = new_pool;
+        m_load =
+          (fun addr ~width ->
+            backstop Perm.Read addr;
+            load addr ~width);
+        m_store =
+          (fun addr ~width v ->
+            backstop Perm.Write addr;
+            store addr ~width v);
+        m_stats = stats;
+        m_drain =
+          (fun () -> List.iter (fun (e, _) -> Shadow.Epoch.retire e) !units);
+      }
+  in
+  let global, global_handle = mode.m_new_pool () in
   ( {
-      Scheme.name = "shadow-pool";
+      Scheme.name = mode.m_name;
       machine;
       malloc = (fun ?site size -> global_handle.Scheme.pool_alloc ?site size);
       free = (fun ?site a -> global_handle.Scheme.pool_free ?site a);
-      load = guarded_load machine registry;
-      store = guarded_store machine registry;
-      pool_create = (fun ?elem_size () -> wrap_pool (make_pool ?elem_size ()));
+      load = mode.m_load;
+      store = mode.m_store;
+      pool_create = (fun ?elem_size () -> snd (mode.m_new_pool ?elem_size ()));
       compute = compute_direct machine;
       extra_memory_bytes = (fun () -> 0);
       guarantees_detection = true;
-      introspection = Info (Shadow_pool { global; recycler });
+      introspection =
+        Info
+          (Shadow_pool
+             { global; recycler; stats = mode.m_stats; drain = mode.m_drain });
     },
     registry )
 
@@ -291,19 +533,10 @@ let shadow_pool_spatial ?(config = default_spatial_config) machine =
   let { bounds_check_cost } = config in
   let base, registry = shadow_pool_with_registry machine in
   let bounds_violation access addr obj =
-    let info =
-      {
-        (Shadow.Detector.object_info obj) with
-        Shadow.Report.offset = addr - obj.Shadow.Object_registry.user_addr;
-      }
-    in
     raise
       (Shadow.Report.Violation
-         {
-           Shadow.Report.kind = Shadow.Report.Out_of_bounds access;
-           fault_addr = addr;
-           object_info = Some info;
-         })
+         (Shadow.Detector.report obj (Shadow.Report.Out_of_bounds access)
+            addr))
   in
   let check access addr width =
     Stats.count_instructions machine.Machine.stats bounds_check_cost;
@@ -402,300 +635,6 @@ let recoverable ?(on_report = fun (_ : Shadow.Report.t) -> ())
     pool_create =
       (fun ?elem_size () -> wrap_handle (base.Scheme.pool_create ?elem_size ()));
     introspection = Info (Recoverable { base; recovery });
-  }
-
-(* Shadow-pool with a per-malloc-site protection policy from the static
-   analysis: sites whose every use is provably Safe take the canonical
-   allocation path (no shadow alias, no mremap/mprotect), everything
-   else — including position-less sites the policy cannot vouch for —
-   keeps the full scheme, so detection at May/Must sites is unchanged. *)
-let shadow_pool_static ~config machine =
-  let { elide } = config in
-  let reuse_shadow_va = true in
-  let registry = Shadow.Object_registry.create () in
-  let recycler = Apa.Page_recycler.create () in
-  let make_pool ?elem_size () =
-    Shadow.Shadow_pool.create ?elem_size ~reuse_shadow_va ~recycler
-      ~unmap:(retrying_unmap machine) ~registry machine
-  in
-  let elided_allocs = ref 0 in
-  let elided_frees = ref 0 in
-  let protected_allocs = ref 0 in
-  let protected_frees = ref 0 in
-  let wrap_pool pool =
-    {
-      Scheme.pool_alloc =
-        (fun ?(site = "<unknown>") size ->
-          if elide site then begin
-            let a = Shadow.Shadow_pool.alloc_elided pool size in
-            incr elided_allocs;
-            trace_malloc machine site size a;
-            a
-          end
-          else begin
-            incr protected_allocs;
-            Shadow.Shadow_pool.alloc pool ~site size
-          end);
-      pool_free =
-        (fun ?site a ->
-          if Shadow.Shadow_pool.free_elided pool a then begin
-            incr elided_frees;
-            trace_free machine (Option.value site ~default:"<unknown>") a
-          end
-          else begin
-            incr protected_frees;
-            Shadow.Shadow_pool.free pool ?site a
-          end);
-      pool_destroy = (fun () -> Shadow.Shadow_pool.destroy pool);
-    }
-  in
-  let global = make_pool () in
-  let global_handle = wrap_pool global in
-  let elision () =
-    {
-      elided_allocs = !elided_allocs;
-      elided_frees = !elided_frees;
-      protected_allocs = !protected_allocs;
-      protected_frees = !protected_frees;
-    }
-  in
-  {
-    Scheme.name = "shadow-pool+static";
-    machine;
-    malloc = (fun ?site size -> global_handle.Scheme.pool_alloc ?site size);
-    free = (fun ?site a -> global_handle.Scheme.pool_free ?site a);
-    load = guarded_load machine registry;
-    store = guarded_store machine registry;
-    pool_create = (fun ?elem_size () -> wrap_pool (make_pool ?elem_size ()));
-    compute = compute_direct machine;
-    extra_memory_bytes = (fun () -> 0);
-    guarantees_detection = true;
-    introspection = Info (Shadow_pool_static { global; recycler; elision });
-  }
-
-(* Shadow-pool for statically inferred pool scopes (Minic.Poolify):
-   every pool_create is one inferred pool, and its pool_destroy —
-   placed by the analysis at the tightest non-escaping scope — releases
-   the pool's entire VA footprint back to the OS.  No page recycler on
-   purpose: recycling keeps ranges mapped for reuse, which is the right
-   trade for the steady-state schemes but hides exactly the signal this
-   scheme exists to show, that inferred scoped pools bound peak shadow
-   VA (destroy issues real coalesced munmaps, counted in the stats).
-   Detection is byte-for-byte [shadow_pool]'s: same registry, same
-   guarded accesses, same per-object shadow protection. *)
-let shadow_pool_inferred machine =
-  let registry = Shadow.Object_registry.create () in
-  let make_pool ?elem_size () =
-    Shadow.Shadow_pool.create ?elem_size ~unmap:(retrying_unmap machine)
-      ~registry machine
-  in
-  let pools = ref [] in
-  let created = ref 0 in
-  let destroyed = ref 0 in
-  let unmapped = ref 0 in
-  let peak = ref 0 in
-  let live () =
-    List.fold_left
-      (fun acc p ->
-        if Shadow.Shadow_pool.is_destroyed p then acc
-        else acc + Shadow.Shadow_pool.shadow_pages_live p)
-      0 !pools
-  in
-  let bump () =
-    let l = live () in
-    if l > !peak then peak := l
-  in
-  let wrap_pool pool =
-    {
-      Scheme.pool_alloc =
-        (fun ?site size ->
-          let a = Shadow.Shadow_pool.alloc pool ?site size in
-          bump ();
-          a);
-      pool_free = (fun ?site a -> Shadow.Shadow_pool.free pool ?site a);
-      pool_destroy =
-        (fun () ->
-          if not (Shadow.Shadow_pool.is_destroyed pool) then begin
-            unmapped := !unmapped + Shadow.Shadow_pool.shadow_pages_live pool;
-            incr destroyed;
-            Shadow.Shadow_pool.destroy pool
-          end);
-    }
-  in
-  let global = make_pool () in
-  pools := [ global ];
-  let global_handle = wrap_pool global in
-  let inferred () =
-    {
-      inferred_pools_created = !created;
-      inferred_pools_destroyed = !destroyed;
-      live_shadow_pages = live ();
-      peak_shadow_pages = !peak;
-      destroy_unmapped_pages = !unmapped;
-    }
-  in
-  {
-    Scheme.name = "shadow-pool+inferred";
-    machine;
-    malloc = (fun ?site size -> global_handle.Scheme.pool_alloc ?site size);
-    free = (fun ?site a -> global_handle.Scheme.pool_free ?site a);
-    load = guarded_load machine registry;
-    store = guarded_store machine registry;
-    pool_create =
-      (fun ?elem_size () ->
-        incr created;
-        let p = make_pool ?elem_size () in
-        pools := p :: !pools;
-        wrap_pool p);
-    compute = compute_direct machine;
-    extra_memory_bytes = (fun () -> 0);
-    guarantees_detection = true;
-    introspection = Info (Shadow_pool_inferred { global; inferred });
-  }
-
-(* Epoch-batched shadow-pool: frees are quarantined per pool and
-   retired with coalesced mprotects; shadow aliases come from slab
-   pre-aliasing.  Detection inside the quarantine window is carried by
-   a software backstop (the epoch's quarantine table, consulted before
-   every access); after retirement the MMU path is exactly
-   [shadow_pool]'s.  The batched protect goes through [Retry], and a
-   run that still fails is split per object by the epoch — protection
-   is never silently dropped. *)
-let shadow_pool_epoch ?(config = default_epoch_config) machine =
-  let { max_frees; max_pages; slab_copies; backstop_check_cost } = config in
-  let registry = Shadow.Object_registry.create () in
-  let recycler = Apa.Page_recycler.create () in
-  let backstop_hits = ref 0 in
-  let units : (Shadow.Epoch.t * Shadow.Slab.t) list ref = ref [] in
-  let protect ~addr ~pages =
-    Retry.attempt machine (fun () ->
-        Syscalls.mprotect machine ~addr ~pages Perm.No_access)
-  in
-  let make_pool ?elem_size () =
-    let slab = Shadow.Slab.create ~copies:slab_copies machine in
-    let epoch = Shadow.Epoch.create ~max_frees ~max_pages ~protect () in
-    units := (epoch, slab) :: !units;
-    let pool =
-      (* Slab placement supplies the shadow VA, so recycled-VA reuse for
-         shadow ranges is off; canonical pages still recycle normally. *)
-      Shadow.Shadow_pool.create ?elem_size ~reuse_shadow_va:false ~recycler
-        ~slab ~unmap:(retrying_unmap machine) ~registry machine
-    in
-    (pool, epoch)
-  in
-  let wrap_pool (pool, epoch) =
-    {
-      Scheme.pool_alloc =
-        (fun ?site size ->
-          Syscalls.ok_or_raise ~name:"Schemes.shadow_pool_epoch.alloc"
-            (Retry.attempt machine (fun () ->
-                 Shadow.Shadow_pool.try_alloc pool ?site size)));
-      pool_free =
-        (fun ?site a ->
-          let obj = Shadow.Shadow_pool.free_deferred pool ?site a in
-          Shadow.Epoch.enqueue epoch obj ~release:(fun () ->
-              Shadow.Shadow_pool.retire_object pool obj);
-          if Shadow.Epoch.should_retire epoch then Shadow.Epoch.retire epoch);
-      pool_destroy =
-        (fun () ->
-          (* Retire, never abandon: recycling is VA bookkeeping only, so
-             an abandoned quarantine would leave in-window freed pages
-             read-write after the backstop stops watching them — weaker
-             than the eager scheme's post-destroy state. *)
-          Shadow.Epoch.retire epoch;
-          Shadow.Shadow_pool.destroy pool);
-    }
-  in
-  (* The quarantine-window backstop: while any epoch holds pending
-     frees, an access to a quarantined page is a use-after-free the MMU
-     cannot see (the page is still read-write), so it is raised in
-     software with the same diagnostics the trap handler would build. *)
-  let backstop access addr =
-    List.iter
-      (fun ((epoch : Shadow.Epoch.t), _) ->
-        if Shadow.Epoch.pending_frees epoch > 0 then begin
-          Stats.count_instructions machine.Machine.stats backstop_check_cost;
-          match Shadow.Epoch.quarantined_obj epoch addr with
-          | Some obj ->
-            incr backstop_hits;
-            let info =
-              {
-                (Shadow.Detector.object_info obj) with
-                Shadow.Report.offset =
-                  addr - obj.Shadow.Object_registry.user_addr;
-              }
-            in
-            let r =
-              {
-                Shadow.Report.kind = Shadow.Report.Use_after_free access;
-                fault_addr = addr;
-                object_info = Some info;
-              }
-            in
-            trace_violation machine r;
-            raise (Shadow.Report.Violation r)
-          | None -> ()
-        end)
-      !units
-  in
-  let epoch_totals () =
-    List.fold_left
-      (fun acc (e, s) ->
-        {
-          epochs_retired = acc.epochs_retired + Shadow.Epoch.retirements e;
-          epoch_retired_frees =
-            acc.epoch_retired_frees + Shadow.Epoch.retired_frees e;
-          epoch_pending_frees =
-            acc.epoch_pending_frees + Shadow.Epoch.pending_frees e;
-          coalesced_protects =
-            acc.coalesced_protects + Shadow.Epoch.protect_calls e;
-          epoch_split_retries =
-            acc.epoch_split_retries + Shadow.Epoch.split_retries e;
-          epoch_failed_protects =
-            acc.epoch_failed_protects + Shadow.Epoch.failed_protects e;
-          backstop_hits = acc.backstop_hits;
-          slab_calls = acc.slab_calls + Shadow.Slab.slab_calls s;
-          slab_hits = acc.slab_hits + Shadow.Slab.hits s;
-          slab_misses = acc.slab_misses + Shadow.Slab.misses s;
-        })
-      {
-        epochs_retired = 0;
-        epoch_retired_frees = 0;
-        epoch_pending_frees = 0;
-        coalesced_protects = 0;
-        epoch_split_retries = 0;
-        epoch_failed_protects = 0;
-        backstop_hits = !backstop_hits;
-        slab_calls = 0;
-        slab_hits = 0;
-        slab_misses = 0;
-      }
-      !units
-  in
-  let drain () =
-    List.iter (fun (e, _) -> Shadow.Epoch.retire e) !units
-  in
-  let ((global, _) as global_unit) = make_pool () in
-  let global_handle = wrap_pool global_unit in
-  {
-    Scheme.name = "shadow-pool+epoch";
-    machine;
-    malloc = (fun ?site size -> global_handle.Scheme.pool_alloc ?site size);
-    free = (fun ?site a -> global_handle.Scheme.pool_free ?site a);
-    load =
-      (fun addr ~width ->
-        backstop Perm.Read addr;
-        guarded_load machine registry addr ~width);
-    store =
-      (fun addr ~width v ->
-        backstop Perm.Write addr;
-        guarded_store machine registry addr ~width v);
-    pool_create = (fun ?elem_size () -> wrap_pool (make_pool ?elem_size ()));
-    compute = compute_direct machine;
-    extra_memory_bytes = (fun () -> 0);
-    guarantees_detection = true;
-    introspection =
-      Info (Shadow_pool_epoch { global; recycler; epoch = epoch_totals; drain });
   }
 
 (* The pointer-tagging backend (xTag/LightDE): a generation tag in the

@@ -1,10 +1,10 @@
 (** Constructors for the paper's own configurations (Table 1 columns)
-    plus the pointer-tagging backend.  Related-work baselines (Electric
-    Fence, Valgrind-style, capability checking) live in the [baseline]
-    library.
+    plus the pointer-tagging backend.  The related-work baselines are
+    their own modules beside this one ({!Efence}, {!Valgrind_sim},
+    {!Capability_check}).
 
-    Every tunable lives in a per-backend config record with a documented
-    default value, so adding a knob extends one record instead of
+    Every tunable lives in a per-backend config with a documented
+    default value, so adding a knob extends one config instead of
     rippling an optional argument through every call site.  The typed
     scheme catalogue over these constructors is {!Scheme_spec}. *)
 
@@ -19,17 +19,6 @@ type pa_config = {
 
 val default_pa_config : pa_config
 
-type pool_config = {
-  reuse_shadow_va : bool;
-      (** place new shadow ranges on recycled addresses when available,
-          so steady-state VA consumption is flat; [false] reproduces the
-          stricter reading of the paper in which only canonical pages
-          recycle (the ablation bench measures the difference).
-          Default [true]. *)
-}
-
-val default_pool_config : pool_config
-
 type spatial_config = {
   bounds_check_cost : int;
       (** instructions charged per software bounds check.  Default 6,
@@ -38,15 +27,6 @@ type spatial_config = {
 }
 
 val default_spatial_config : spatial_config
-
-type static_config = {
-  elide : string -> bool;
-      (** per-malloc-site protection policy (see
-          [Minic.Dangling.elide_policy]): [true] means every use of the
-          site's points-to class was proved Safe, so the allocation
-          skips its shadow alias.  No default — the policy is the
-          scheme's reason to exist. *)
-}
 
 type epoch_config = {
   max_frees : int;   (** quarantined frees that force retirement; 64 *)
@@ -58,6 +38,54 @@ type epoch_config = {
 }
 
 val default_epoch_config : epoch_config
+
+(** How {!shadow_pool} protects, places and retires objects.  One mode
+    per configuration the tree runs, rather than independent flags, so
+    no untested combination is buildable. *)
+type pool_config =
+  | Eager of { reuse_shadow_va : bool }
+      (** the paper's scheme: every free is mprotected at once.  With
+          [reuse_shadow_va] new shadow ranges are placed on recycled
+          addresses when available, so steady-state VA consumption is
+          flat; [false] reproduces the stricter reading of the paper in
+          which only canonical pages recycle (the ablation bench
+          measures the difference). *)
+  | Elided of { elide : string -> bool }
+      (** a per-malloc-site protection policy (see
+          [Minic.Dangling.elide_policy]): when [elide site] is true the
+          allocation is served from the canonical pages with no shadow
+          alias — no [mremap] at alloc, no [mprotect] at free — because
+          the analysis proved every use of that site's class Safe.  All
+          other sites, including any the policy does not recognise, are
+          protected as in [Eager], so detection at May/Must sites is
+          unchanged. *)
+  | Scoped
+      (** statically inferred pool scopes ([Minic.Poolify]): each
+          [pool_create] is one inferred pool and its [pool_destroy] —
+          placed by the analysis at the tightest scope the class does
+          not escape — returns the pool's whole VA footprint to the OS
+          with real coalesced [munmap]s (no page recycler), so peak
+          shadow VA tracks the inferred lifetimes instead of growing
+          monotonically.  Detection is exactly [Eager]'s. *)
+  | Epoch of epoch_config
+      (** epoch-batched deferred protection ({!Shadow.Epoch}) with
+          slab-preallocated shadow aliases ({!Shadow.Slab}): a free is
+          validated and quarantined instead of mprotected, and when the
+          per-pool epoch fills ([max_frees] frees or [max_pages] pages)
+          retirement issues one coalesced mprotect per merged page run
+          and only then recycles the canonical blocks.  Shadow aliases
+          are drawn [slab_copies] at a time from one vectored mremap.
+          Inside the quarantine window detection is software: every
+          access pays [backstop_check_cost] instructions (only while an
+          epoch is non-empty) to consult the quarantine table, and a
+          hit raises the same {!Shadow.Report.Violation} the trap
+          handler would.  After retirement detection is [Eager]'s.
+          Batched protects go through {!Retry}; a run that still fails
+          is split and retried per object, and objects that still fail
+          stay quarantined. *)
+
+val default_pool_config : pool_config
+(** [Eager { reuse_shadow_va = true }]. *)
 
 type tagged_config = {
   tag_bits : int;
@@ -92,7 +120,9 @@ val shadow_basic : Vmm.Machine.t -> Scheme.t
 val shadow_pool : ?config:pool_config -> Vmm.Machine.t -> Scheme.t
 (** The full approach (§3.3): shadow pages + Automatic Pool Allocation.
     Top-level [malloc]/[free] go through a global pool; [pool_create]
-    makes compiler-inferred pools whose destroy recycles all pages. *)
+    makes compiler-inferred pools whose destroy recycles all pages.
+    [config] (default {!default_pool_config}) picks the mode; the mode's
+    counters and the global pool are available via {!introspect}. *)
 
 val tagged : ?config:tagged_config -> Vmm.Machine.t -> Scheme.t
 (** The pointer-tagging backend ({!Tagging.Tag_table}; xTag/LightDE in
@@ -150,35 +180,28 @@ type inferred_stats = {
   destroy_unmapped_pages : int;   (** shadow pages munmapped by destroys *)
 }
 
+(** A {!shadow_pool}'s mode counters, one constructor per
+    {!pool_config} mode. *)
+type pool_stats =
+  | Eager_stats  (** [Eager] keeps no counters beyond the pool's own *)
+  | Elided_stats of elision_stats
+  | Scoped_stats of inferred_stats
+  | Epoch_stats of epoch_stats
+
 (** What {!introspect} reveals about a scheme's internals. *)
 type info =
   | Opaque  (** nothing beyond the {!Scheme.t} record's own fields *)
   | Shadow_pool of {
       global : Shadow.Shadow_pool.t;
           (** the global pool (for the §3.4 long-lived-pool experiments) *)
-      recycler : Apa.Page_recycler.t;
+      recycler : Apa.Page_recycler.t option;
           (** the shared page free list (for §4.3 address-space
-              measurements) *)
-    }
-  | Shadow_pool_static of {
-      global : Shadow.Shadow_pool.t;
-      recycler : Apa.Page_recycler.t;
-      elision : unit -> elision_stats;
-          (** aggregate elision counts so far *)
-    }
-  | Shadow_pool_epoch of {
-      global : Shadow.Shadow_pool.t;
-      recycler : Apa.Page_recycler.t;
-      epoch : unit -> epoch_stats;  (** aggregate batching counts so far *)
+              measurements); [None] for [Scoped], whose destroys unmap *)
+      stats : unit -> pool_stats;  (** the mode's counters so far *)
       drain : unit -> unit;
           (** force-retire every open epoch — a measurement boundary
               (bench sections) or orderly shutdown, not part of the
-              steady-state protocol *)
-    }
-  | Shadow_pool_inferred of {
-      global : Shadow.Shadow_pool.t;
-      inferred : unit -> inferred_stats;
-          (** pool lifecycle and shadow-VA counts so far *)
+              steady-state protocol; a no-op outside [Epoch] *)
     }
   | Recoverable of {
       base : Scheme.t;
@@ -198,46 +221,8 @@ val introspect : Scheme.t -> info
 (** The single entry point for scheme internals.  Reads the
     [introspection] field carried on the scheme record itself — no
     global side table, so it is safe when schemes are built concurrently
-    on many domains — and returns [Opaque] for schemes built by other
-    libraries (baselines, governed wrappers). *)
-
-val shadow_pool_static : config:static_config -> Vmm.Machine.t -> Scheme.t
-(** {!shadow_pool} driven by a static per-malloc-site protection policy
-    (see [Minic.Dangling.elide_policy]): when [elide site] is true the
-    allocation is served from the canonical pages with no shadow alias —
-    no [mremap] at alloc, no [mprotect] at free — because the analysis
-    proved every use of that site's class Safe.  All other sites,
-    including any the policy does not recognise, keep the full scheme,
-    so detection at May/Must sites is exactly as in {!shadow_pool}.
-    Elision counts are available via {!introspect}. *)
-
-val shadow_pool_inferred : Vmm.Machine.t -> Scheme.t
-(** {!shadow_pool} for statically inferred pool scopes ([Minic.Poolify]):
-    each [pool_create] is one inferred pool and its [pool_destroy] —
-    placed by the analysis at the tightest scope the class does not
-    escape — returns the pool's whole VA footprint to the OS with real
-    coalesced [munmap]s (no page recycler), so peak shadow VA tracks
-    the inferred lifetimes instead of growing monotonically.  Detection
-    is exactly {!shadow_pool}'s.  Lifecycle and page counts are
-    available via {!introspect}. *)
-
-val shadow_pool_epoch : ?config:epoch_config -> Vmm.Machine.t -> Scheme.t
-(** {!shadow_pool} with epoch-batched deferred protection
-    ({!Shadow.Epoch}) and slab-preallocated shadow aliases
-    ({!Shadow.Slab}): a free is validated and quarantined instead of
-    mprotected, and when the per-pool epoch fills ([max_frees] frees,
-    default 64, or [max_pages] pages, default 256) retirement issues
-    one coalesced mprotect per merged page run and only then recycles
-    the canonical blocks.  Shadow aliases are drawn [slab_copies]
-    (default 16) at a time from one vectored mremap.  Inside the
-    quarantine window detection is software: every access pays
-    [backstop_check_cost] instructions (default 2, only while an epoch
-    is non-empty) to consult the quarantine table, and a hit raises the
-    same {!Shadow.Report.Violation} the trap handler would.  After
-    retirement detection is byte-for-byte {!shadow_pool}'s.  Batched
-    protects go through {!Retry}; a run that still fails is split and
-    retried per object, and objects that still fail stay quarantined.
-    Batching counters are available via {!introspect}. *)
+    on many domains — and returns [Opaque] for schemes that expose
+    nothing (native, pa, the baselines, governed wrappers). *)
 
 val recoverable :
   ?on_report:(Shadow.Report.t -> unit) -> Scheme.t -> Scheme.t
@@ -261,3 +246,23 @@ val shadow_pool_spatial : ?config:spatial_config -> Vmm.Machine.t -> Scheme.t
     costs [bounds_check_cost] instructions per access (default 6,
     matching the few-percent overhead of the authors' companion spatial
     checker). *)
+
+(** {1 Shared building blocks}
+
+    Trace and guarded-access helpers every shadow scheme uses,
+    {!Governed}'s included.  The [trace_*] emitters allocate nothing
+    when the machine's sink is disabled, except [trace_violation], which
+    always emits.  A guarded access classifies its trap against the
+    registry ({!Shadow.Detector.guard}), traces the violation and
+    re-raises it. *)
+
+val trace_malloc : Vmm.Machine.t -> string -> int -> Vmm.Addr.t -> unit
+val trace_free : Vmm.Machine.t -> string -> Vmm.Addr.t -> unit
+val trace_violation : Vmm.Machine.t -> Shadow.Report.t -> unit
+
+val guarded_load :
+  Vmm.Machine.t -> Shadow.Object_registry.t -> Vmm.Addr.t -> width:int -> int
+
+val guarded_store :
+  Vmm.Machine.t -> Shadow.Object_registry.t -> Vmm.Addr.t -> width:int ->
+  int -> unit

@@ -10,12 +10,15 @@ let object_info (obj : Object_registry.obj) =
        | Object_registry.Freed { free_site } -> Some free_site);
   }
 
+let report (obj : Object_registry.obj) kind addr =
+  let info = { (object_info obj) with offset = addr - obj.user_addr } in
+  { Report.kind; fault_addr = addr; object_info = Some info }
+
 let classify registry ~in_free fault =
   let addr = Vmm.Fault.addr fault in
   let access = Vmm.Fault.access fault in
   match Object_registry.find_by_addr registry addr with
   | Some obj ->
-    let info = { (object_info obj) with offset = addr - obj.user_addr } in
     let kind =
       match obj.state, in_free with
       | Object_registry.Freed _, true -> Report.Double_free
@@ -26,7 +29,7 @@ let classify registry ~in_free fault =
            report it as wild rather than mask a simulator bug. *)
         Report.Wild_access access
     in
-    { Report.kind; fault_addr = addr; object_info = Some info }
+    report obj kind addr
   | None ->
     let kind =
       if in_free then Report.Invalid_free else Report.Wild_access access

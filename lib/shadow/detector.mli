@@ -4,6 +4,10 @@
 val object_info : Object_registry.obj -> Report.object_info
 (** Diagnostic fields for an object (offset left 0). *)
 
+val report : Object_registry.obj -> Report.kind -> Vmm.Addr.t -> Report.t
+(** A report of [kind] at [addr] inside the object, offset filled in —
+    what {!classify} builds for a trap, for software checks to raise. *)
+
 val classify :
   Object_registry.t -> in_free:bool -> Vmm.Fault.t -> Report.t
 (** Map a fault to a report.  [in_free] marks faults taken while reading

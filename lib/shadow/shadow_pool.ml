@@ -12,12 +12,11 @@ type t = {
   recycler : Apa.Page_recycler.t option;
   slab : Slab.t option;
   shadow_ranges : (Addr.t, int * range_state) Hashtbl.t; (* base -> pages, state *)
+  shadow_pages : int ref; (* total pages over [shadow_ranges] *)
   elided_live : (Addr.t, int) Hashtbl.t; (* addr -> size, statically-safe blocks *)
   unmap : addr:Addr.t -> pages:int -> (unit, Fault_plan.error) result;
   mutable after_free_hook : (unit -> unit) option;
   mutable in_after_free_hook : bool;
-  mutable elided_allocs : int;
-  mutable elided_frees : int;
   mutable destroyed : bool;
 }
 
@@ -30,6 +29,7 @@ let create ?(arena_pages = 16) ?elem_size ?(reuse_shadow_va = true) ?recycler
   in
   let pool = Apa.Pool.create ~arena_pages ?elem_size ~reclaim machine in
   let shadow_ranges = Hashtbl.create 64 in
+  let shadow_pages = ref 0 in
   let shadow_placer pages =
     match recycler with
     | Some r when reuse_shadow_va -> Apa.Page_recycler.take r ~pages
@@ -41,7 +41,8 @@ let create ?(arena_pages = 16) ?elem_size ?(reuse_shadow_va = true) ?recycler
     | Some _ | None -> ()
   in
   let on_shadow_range ~base ~pages =
-    Hashtbl.replace shadow_ranges base (pages, Rs_live)
+    Hashtbl.replace shadow_ranges base (pages, Rs_live);
+    shadow_pages := !shadow_pages + pages
   in
   let shadow_alias =
     Option.map (fun s ~src ~pages -> Slab.take s ~src ~pages) slab
@@ -65,12 +66,11 @@ let create ?(arena_pages = 16) ?elem_size ?(reuse_shadow_va = true) ?recycler
     recycler;
     slab;
     shadow_ranges;
+    shadow_pages;
     elided_live = Hashtbl.create 64;
     unmap;
     after_free_hook = None;
     in_after_free_hook = false;
-    elided_allocs = 0;
-    elided_frees = 0;
     destroyed = false;
   }
 
@@ -168,7 +168,6 @@ let alloc_elided t size =
   check_usable t "alloc";
   let addr = Apa.Pool.alloc t.pool size in
   Hashtbl.replace t.elided_live addr size;
-  t.elided_allocs <- t.elided_allocs + 1;
   Stats.count_alloc_op t.machine.Machine.stats;
   addr
 
@@ -178,14 +177,10 @@ let free_elided t addr =
   | Some _ ->
     Hashtbl.remove t.elided_live addr;
     Apa.Pool.dealloc t.pool addr;
-    t.elided_frees <- t.elided_frees + 1;
     Stats.count_free_op t.machine.Machine.stats;
     true
   | None -> false
 
-let elided_allocs t = t.elided_allocs
-let elided_frees t = t.elided_frees
-let elided_live_blocks t = Hashtbl.length t.elided_live
 
 let size_of t user = Shadow_heap.size_of t.heap user
 
@@ -220,6 +215,7 @@ let destroy t =
     (fun (base, pages) -> Object_registry.forget_range t.registry ~base ~pages)
     ranges;
   Hashtbl.reset t.shadow_ranges;
+  t.shadow_pages := 0;
   Hashtbl.reset t.elided_live;
   Apa.Pool.destroy t.pool
 
@@ -280,6 +276,7 @@ let reclaim_ranges t ranges =
       if run_released (base, pages) then begin
         Object_registry.forget_range t.registry ~base ~pages;
         Hashtbl.remove t.shadow_ranges base;
+        t.shadow_pages := !(t.shadow_pages) - pages;
         acc + pages
       end
       else acc)
@@ -294,8 +291,7 @@ let registry t = t.registry
 let is_destroyed t = t.destroyed
 let live_blocks t = Apa.Pool.live_blocks t.pool
 
-let shadow_pages_live t =
-  Hashtbl.fold (fun _ (pages, _) acc -> acc + pages) t.shadow_ranges 0
+let shadow_pages_live t = !(t.shadow_pages)
 
 let freed_shadow_pages t =
   Hashtbl.fold

@@ -89,15 +89,6 @@ val free_elided : t -> Vmm.Addr.t -> bool
     {!free} path — a double free of an elided block thus still raises
     through the object registry. *)
 
-val elided_allocs : t -> int
-(** Allocations served by {!alloc_elided} over the pool's lifetime. *)
-
-val elided_frees : t -> int
-(** Frees served by {!free_elided} over the pool's lifetime. *)
-
-val elided_live_blocks : t -> int
-(** Elided blocks currently live. *)
-
 val destroy : t -> unit
 (** [pooldestroy]: recycle (or unmap) all canonical and shadow ranges and
     drop their diagnostic records. *)
@@ -141,7 +132,7 @@ val registry : t -> Object_registry.t
 val is_destroyed : t -> bool
 val live_blocks : t -> int
 val shadow_pages_live : t -> int
-(** Shadow pages currently held (live + freed-retained). *)
+(** Shadow pages currently held (live + freed-retained); O(1). *)
 
 val freed_shadow_pages : t -> int
 (** Shadow pages held only to keep freed objects trapping. *)

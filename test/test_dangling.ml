@@ -685,19 +685,23 @@ let oracle_one ~ctx ~expect_elision source bug =
      after retirement or hit the in-window software backstop *)
   let out_epoch, viol_epoch =
     run_with_hook transformed
-      (Runtime.Schemes.shadow_pool_epoch (Vmm.Machine.create ()))
+      (Runtime.Scheme_spec.(build ours_epoch) (Vmm.Machine.create ()))
   in
   check_bool (ctx ^ ": epoch detections identical to eager scheme") true
     (viol_epoch = viol_full);
   (* static-elision scheme: same contract, plus detection must survive *)
   let static_scheme =
-    Runtime.Schemes.shadow_pool_static
-      ~config:{ Runtime.Schemes.elide = Minic.Dangling.elide_policy r }
+    Runtime.Schemes.shadow_pool
+      ~config:
+        (Runtime.Schemes.Elided { elide = Minic.Dangling.elide_policy r })
       (Vmm.Machine.create ())
   in
   let stats () =
     match Runtime.Schemes.introspect static_scheme with
-    | Runtime.Schemes.Shadow_pool_static { elision; _ } -> elision ()
+    | Runtime.Schemes.Shadow_pool { stats; _ } -> (
+      match stats () with
+      | Runtime.Schemes.Elided_stats s -> s
+      | _ -> assert false)
     | _ -> assert false
   in
   let out_static, viol_static = run_with_hook transformed static_scheme in
@@ -709,7 +713,7 @@ let oracle_one ~ctx ~expect_elision source bug =
   let inferred_transformed, _ = Minic.Poolify.transform program in
   let out_inferred, viol_inferred =
     run_with_hook inferred_transformed
-      (Runtime.Schemes.shadow_pool_inferred (Vmm.Machine.create ()))
+      (Runtime.Scheme_spec.(build ours_inferred) (Vmm.Machine.create ()))
   in
   check_violations_covered ~ctx:(ctx ^ "/inferred") r viol_inferred;
   (* tagged backend: the pure-software generation check must detect

@@ -14,12 +14,18 @@ let check_string = Alcotest.check Alcotest.string
 
 let epoch_stats scheme =
   match Runtime.Schemes.introspect scheme with
-  | Runtime.Schemes.Shadow_pool_epoch { epoch; _ } -> epoch ()
+  | Runtime.Schemes.Shadow_pool { stats; _ } -> (
+    match stats () with
+    | Runtime.Schemes.Epoch_stats s -> s
+    | _ -> Alcotest.fail "epoch scheme does not introspect")
   | _ -> Alcotest.fail "epoch scheme does not introspect"
 
 let drain scheme =
   match Runtime.Schemes.introspect scheme with
-  | Runtime.Schemes.Shadow_pool_epoch { drain; _ } -> drain ()
+  | Runtime.Schemes.Shadow_pool { stats; drain; _ } -> (
+    match stats () with
+    | Runtime.Schemes.Epoch_stats _ -> drain ()
+    | _ -> Alcotest.fail "epoch scheme does not introspect")
   | _ -> Alcotest.fail "epoch scheme does not introspect"
 
 let expect_violation name pred thunk =
@@ -85,7 +91,7 @@ let test_slab_cache () =
 
 let test_in_window_backstop () =
   let m = Machine.create () in
-  let scheme = Runtime.Schemes.shadow_pool_epoch m in
+  let scheme = Runtime.Scheme_spec.(build ours_epoch) m in
   let p = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
   scheme.Runtime.Scheme.store p ~width:8 42;
   let mprotects () = (Stats.snapshot m.Machine.stats).Stats.syscalls_mprotect in
@@ -113,7 +119,7 @@ let test_in_window_backstop () =
 
 let test_in_window_double_free () =
   let m = Machine.create () in
-  let scheme = Runtime.Schemes.shadow_pool_epoch m in
+  let scheme = Runtime.Scheme_spec.(build ours_epoch) m in
   let p = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
   scheme.Runtime.Scheme.free ~site:"q.c:2" p;
   ignore
@@ -123,8 +129,10 @@ let test_in_window_double_free () =
 
 let test_at_retirement_mmu () =
   let m = Machine.create () in
-  let scheme = Runtime.Schemes.shadow_pool_epoch
-      ~config:{ Runtime.Schemes.default_epoch_config with max_frees = 2 } m in
+  let scheme = Runtime.Schemes.shadow_pool
+      ~config:(Runtime.Schemes.Epoch
+                 { Runtime.Schemes.default_epoch_config with max_frees = 2 })
+      m in
   let p = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
   let q = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
   scheme.Runtime.Scheme.free ~site:"q.c:2" p;
@@ -143,7 +151,7 @@ let test_at_retirement_mmu () =
 
 let test_post_retirement_mmu () =
   let m = Machine.create () in
-  let scheme = Runtime.Schemes.shadow_pool_epoch m in
+  let scheme = Runtime.Scheme_spec.(build ours_epoch) m in
   let p = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
   scheme.Runtime.Scheme.free ~site:"q.c:2" p;
   drain scheme;
@@ -162,8 +170,10 @@ let test_post_retirement_mmu () =
    retire with a single ranged protect. *)
 let test_retirement_coalesces () =
   let m = Machine.create () in
-  let scheme = Runtime.Schemes.shadow_pool_epoch
-      ~config:{ Runtime.Schemes.default_epoch_config with max_frees = 8 } m in
+  let scheme = Runtime.Schemes.shadow_pool
+      ~config:(Runtime.Schemes.Epoch
+                 { Runtime.Schemes.default_epoch_config with max_frees = 8 })
+      m in
   let ptrs =
     List.init 8 (fun i ->
         let a = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
@@ -194,7 +204,7 @@ let make_recoverable ?max_frees () =
   let scheme =
     Runtime.Schemes.recoverable
       ~on_report:(fun r -> reports := r :: !reports)
-      (Runtime.Schemes.shadow_pool_epoch ~config m)
+      (Runtime.Schemes.shadow_pool ~config:(Runtime.Schemes.Epoch config) m)
   in
   (scheme, reports)
 
@@ -272,8 +282,10 @@ let test_split_retry_recovers () =
       ]
   in
   let m = Machine.create ~fault_plan:plan () in
-  let scheme = Runtime.Schemes.shadow_pool_epoch
-      ~config:{ Runtime.Schemes.default_epoch_config with max_frees = 2 } m in
+  let scheme = Runtime.Schemes.shadow_pool
+      ~config:(Runtime.Schemes.Epoch
+                 { Runtime.Schemes.default_epoch_config with max_frees = 2 })
+      m in
   let p = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
   let q = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
   scheme.Runtime.Scheme.free ~site:"q.c:2" p;
@@ -303,8 +315,10 @@ let test_split_retry_keeps_quarantine () =
       ]
   in
   let m = Machine.create ~fault_plan:plan () in
-  let scheme = Runtime.Schemes.shadow_pool_epoch
-      ~config:{ Runtime.Schemes.default_epoch_config with max_frees = 2 } m in
+  let scheme = Runtime.Schemes.shadow_pool
+      ~config:(Runtime.Schemes.Epoch
+                 { Runtime.Schemes.default_epoch_config with max_frees = 2 })
+      m in
   let p = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
   let q = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
   scheme.Runtime.Scheme.free ~site:"q.c:2" p;
@@ -326,7 +340,7 @@ let test_split_retry_keeps_quarantine () =
 
 let test_destroy_retires_epoch () =
   let m = Machine.create () in
-  let scheme = Runtime.Schemes.shadow_pool_epoch m in
+  let scheme = Runtime.Scheme_spec.(build ours_epoch) m in
   let h = scheme.Runtime.Scheme.pool_create () in
   let p = h.Runtime.Scheme.pool_alloc ~site:"q.c:1" 48 in
   h.Runtime.Scheme.pool_free ~site:"q.c:2" p;

@@ -258,11 +258,13 @@ let test_hook_fires_on_eager_free () =
 
 let test_hook_fires_on_epoch_retirement () =
   let m = Machine.create () in
-  let scheme = Runtime.Schemes.shadow_pool_epoch
-      ~config:{ Runtime.Schemes.default_epoch_config with max_frees = 4 } m in
+  let scheme = Runtime.Schemes.shadow_pool
+      ~config:(Runtime.Schemes.Epoch
+                 { Runtime.Schemes.default_epoch_config with max_frees = 4 })
+      m in
   let pool =
     match Runtime.Schemes.introspect scheme with
-    | Runtime.Schemes.Shadow_pool_epoch { global; _ } -> global
+    | Runtime.Schemes.Shadow_pool { global; _ } -> global
     | _ -> Alcotest.fail "no introspection"
   in
   let policy =

@@ -62,14 +62,16 @@ let test_scheme_introspection () =
    | Runtime.Schemes.Shadow_pool _ -> ()
    | _ -> Alcotest.fail "shadow-pool should expose its pool and recycler");
   let st =
-    Runtime.Schemes.shadow_pool_static
-      ~config:{ Runtime.Schemes.elide = (fun _ -> false) }
+    Runtime.Schemes.shadow_pool
+      ~config:(Runtime.Schemes.Elided { elide = (fun _ -> false) })
       (Machine.create ())
   in
   (match Runtime.Schemes.introspect st with
-   | Runtime.Schemes.Shadow_pool_static { elision; _ } ->
-     let e = elision () in
-     check_int "no allocs yet" 0 e.Runtime.Schemes.protected_allocs
+   | Runtime.Schemes.Shadow_pool { stats; _ } -> (
+     match stats () with
+     | Runtime.Schemes.Elided_stats e ->
+       check_int "no allocs yet" 0 e.Runtime.Schemes.protected_allocs
+     | _ -> Alcotest.fail "static scheme should expose elision stats")
    | _ -> Alcotest.fail "static scheme should expose elision stats");
   let native = Runtime.Schemes.native (Machine.create ()) in
   check_bool "native is opaque" true
@@ -180,13 +182,118 @@ let prop_scheme_uniformity =
       && run Runtime.Schemes.pa = expected
       && run Runtime.Schemes.shadow_basic = expected
       && run Runtime.Schemes.shadow_pool = expected
-      && run Baseline.Efence.scheme = expected
-      && run (fun m -> Baseline.Valgrind_sim.scheme m) = expected
-      && run (fun m -> Baseline.Capability_check.scheme m) = expected)
+      && run Runtime.Efence.scheme = expected
+      && run (fun m -> Runtime.Valgrind_sim.scheme m) = expected
+      && run (fun m -> Runtime.Capability_check.scheme m) = expected)
+
+(* ---- the spec catalogue ---- *)
+
+(* The baselines are runtime modules, so a spec builds them directly:
+   no registration step has to run first. *)
+let test_spec_builds_baselines () =
+  List.iter
+    (fun spec ->
+      let name = Runtime.Scheme_spec.to_string spec in
+      let s = Runtime.Scheme_spec.build spec (Machine.create ()) in
+      let a = s.Runtime.Scheme.malloc ~site:"b.c:1" 32 in
+      s.Runtime.Scheme.store a ~width:8 7;
+      check_int (name ^ " serves a live load") 7
+        (s.Runtime.Scheme.load a ~width:8);
+      s.Runtime.Scheme.free ~site:"b.c:2" a)
+    Runtime.Scheme_spec.[ efence; valgrind; capability ]
+
+let test_ours_static_alias () =
+  check_bool "ours-static parses as ours" true
+    (Runtime.Scheme_spec.of_string "ours-static"
+    = Some Runtime.Scheme_spec.ours);
+  check_bool "ours-static+recover parses as ours+recover" true
+    (Runtime.Scheme_spec.of_string "ours-static+recover"
+    = Some (Runtime.Scheme_spec.Recover Runtime.Scheme_spec.ours));
+  check_bool "the alias is not a catalogue entry" false
+    (List.mem "ours-static" (Runtime.Scheme_spec.names ()))
+
+(* The README's --scheme table is the catalogue, row for row. *)
+let test_readme_scheme_table () =
+  (* under dune runtest the (deps ../README.md) copy; from the root, the
+     source *)
+  let path =
+    if Sys.file_exists "../README.md" then "../README.md" else "README.md"
+  in
+  let lines =
+    String.split_on_char '\n'
+      (In_channel.with_open_text path In_channel.input_all)
+  in
+  let rec table = function
+    | "| `--scheme` | what it mounts |" :: "|---|---|" :: rest ->
+      let rec rows acc = function
+        | l :: rest when String.length l > 0 && l.[0] = '|' ->
+          rows (l :: acc) rest
+        | _ -> List.rev acc
+      in
+      rows [] rest
+    | _ :: rest -> table rest
+    | [] -> Alcotest.fail "README has no --scheme table"
+  in
+  let expected =
+    List.map
+      (fun spec ->
+        Printf.sprintf "| `%s` | %s |"
+          (Runtime.Scheme_spec.to_string spec)
+          (Runtime.Scheme_spec.description spec))
+      Runtime.Scheme_spec.all
+  in
+  Alcotest.(check (list string))
+    "README table = Scheme_spec.all" expected
+    (table lines)
+
+(* Scoped mode: live pages are summed over pools not yet destroyed, the
+   peak is the high-water mark of that sum, and a destroy hands its
+   pages to the unmapped count. *)
+let test_scoped_pool_stats () =
+  let s = Runtime.Scheme_spec.(build ours_inferred) (Machine.create ()) in
+  let stats () =
+    match Runtime.Schemes.introspect s with
+    | Runtime.Schemes.Shadow_pool { stats; recycler = None; _ } -> (
+      match stats () with
+      | Runtime.Schemes.Scoped_stats st -> st
+      | _ -> Alcotest.fail "scoped mode reports scoped stats")
+    | _ -> Alcotest.fail "scoped mode is a recycler-less shadow pool"
+  in
+  let h1 = s.Runtime.Scheme.pool_create () in
+  let h2 = s.Runtime.Scheme.pool_create () in
+  ignore (h1.Runtime.Scheme.pool_alloc ~site:"s.c:1" 48 : Addr.t);
+  ignore (h2.Runtime.Scheme.pool_alloc ~site:"s.c:2" 48 : Addr.t);
+  let before = stats () in
+  check_int "two inferred pools" 2
+    before.Runtime.Schemes.inferred_pools_created;
+  check_bool "both objects hold shadow pages" true
+    (before.Runtime.Schemes.live_shadow_pages >= 2);
+  check_int "peak is the live sum" before.Runtime.Schemes.live_shadow_pages
+    before.Runtime.Schemes.peak_shadow_pages;
+  h1.Runtime.Scheme.pool_destroy ();
+  h1.Runtime.Scheme.pool_destroy ();
+  let after = stats () in
+  check_int "one destroy counted" 1
+    after.Runtime.Schemes.inferred_pools_destroyed;
+  check_int "destroyed pages leave the live sum"
+    (before.Runtime.Schemes.live_shadow_pages
+    - after.Runtime.Schemes.destroy_unmapped_pages)
+    after.Runtime.Schemes.live_shadow_pages;
+  check_int "peak survives the destroy" before.Runtime.Schemes.peak_shadow_pages
+    after.Runtime.Schemes.peak_shadow_pages
 
 let () =
   Alcotest.run "runtime"
     [
+      ( "scheme-spec",
+        [
+          Alcotest.test_case "baselines build without setup" `Quick
+            test_spec_builds_baselines;
+          Alcotest.test_case "ours-static alias" `Quick test_ours_static_alias;
+          Alcotest.test_case "README scheme table" `Quick
+            test_readme_scheme_table;
+          Alcotest.test_case "scoped pool stats" `Quick test_scoped_pool_stats;
+        ] );
       ( "schemes",
         [
           Alcotest.test_case "native passthrough pools" `Quick

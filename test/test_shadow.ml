@@ -433,7 +433,7 @@ let test_cache_behaviour_preserved () =
   in
   let efence =
     misses_of (fun m ->
-        let s = Baseline.Efence.scheme m in
+        let s = Runtime.Efence.scheme m in
         ( (fun size -> s.Runtime.Scheme.malloc size),
           fun a -> s.Runtime.Scheme.load a ~width:8 ))
   in
