@@ -8,8 +8,10 @@
    so the before/after ratio is visible in every BENCH_results.json.
 
    Alongside wall time we record *structural* counts that cannot drift
-   with machine load: page-table walks per TLB-hit access (must be 0)
-   and frame lookups per 8-byte load (must be 1). *)
+   with machine load: page-table walks per TLB-hit access (must be 0),
+   frame lookups per 8-byte load (must be 1), and the OCaml heap words
+   the access path and one whole connection allocate (native code
+   allocates deterministically, so these are exact too). *)
 
 open Vmm
 module J = Telemetry.Json
@@ -129,6 +131,55 @@ let scenarios =
           Kernel.mmap_fixed m ~addr:a ~pages:64 );
   ]
 
+(* Minor words [f] allocates, net of the boxed float the measurement
+   itself keeps live across the call. *)
+let minor_words f =
+  let measure f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  int_of_float (measure f -. measure ignore)
+
+(* Minor words of 1,000 TLB-hit loads and 1,000 stores, through the MMU
+   and through the [ours] scheme's guarded path. *)
+let access_minor_words () =
+  let m = Machine.create () in
+  let a = Kernel.mmap m ~pages:1 in
+  let s = Runtime.Scheme_spec.build Runtime.Scheme_spec.ours (Machine.create ()) in
+  let p = s.Runtime.Scheme.malloc ~site:"fastpath" 512 in
+  let accesses load store base () =
+    for i = 0 to 999 do
+      ignore (load (base + (i land 63 * 8)) ~width:8);
+      store (base + (i land 63 * 8)) ~width:8 i
+    done
+  in
+  let mmu = accesses (Mmu.load m) (Mmu.store m) a in
+  let ours = accesses s.Runtime.Scheme.load s.Runtime.Scheme.store p in
+  mmu ();
+  ours ();
+  (* warm: TLB entries and cache sets in place *)
+  minor_words mmu + minor_words ours
+
+(* One fork-per-connection ghttpd connection under [ours] — a fresh
+   machine and scheme, the fork cost, the handler — as (minor words,
+   words allocated directly in the major heap).  The second of two
+   connections is measured, so one-time initialisation is not.  Minor
+   words come from [Gc.minor_words]: [Gc.counters]' minor count is not
+   exact on OCaml 5.1. *)
+let connection_words () =
+  let connection conn =
+    let m = Machine.create () in
+    let s = Runtime.Scheme_spec.build Runtime.Scheme_spec.ours m in
+    s.Runtime.Scheme.compute Runtime.Process.fork_cost_instructions;
+    Workload.Servers.ghttpd.Workload.Spec.handler conn s
+  in
+  connection 0;
+  let _, promoted0, major0 = Gc.counters () in
+  let minor = minor_words (fun () -> connection 1) in
+  let _, promoted1, major1 = Gc.counters () in
+  (minor, int_of_float (major1 -. major0 -. (promoted1 -. promoted0)))
+
 (* Structural counters: machine-load-proof evidence that the fast path
    does what the design says.  Returned as (name, value) pairs; the
    validator and tests pin the expected values. *)
@@ -145,10 +196,14 @@ let structural () =
   let frames1 = Frame_table.lookup_count m.Machine.frames in
   Mmu.store m a ~width:8 7;
   let frames_per_store8 = Frame_table.lookup_count m.Machine.frames - frames1 in
+  let connection_minor, connection_major = connection_words () in
   [
     ("page_table_walks_per_tlb_hit_load", walks_per_hit_load);
     ("frame_lookups_per_load8", frames_per_load8);
     ("frame_lookups_per_store8", frames_per_store8);
+    ("connection_minor_words", connection_minor);
+    ("connection_major_words", connection_major);
+    ("access_minor_words", access_minor_words ());
   ]
 
 (* Run everything: prints a section to stdout, returns the JSON block

@@ -321,8 +321,7 @@ let ablation_allocator_agnostic () =
     Shadow.Shadow_heap.free heap p;
     let detected =
       match
-        Shadow.Detector.guard registry ~in_free:false (fun () ->
-            Vmm.Mmu.load m p ~width:8)
+        Shadow.Detector.load registry ~in_free:false m p ~width:8
       with
       | _ -> false
       | exception Shadow.Report.Violation _ -> true

@@ -63,6 +63,22 @@ let () =
     fail "8-byte load did not do exactly one frame lookup";
   if structural_int "frame_lookups_per_store8" <> 1 then
     fail "8-byte store did not do exactly one frame lookup";
+  (* OCaml heap budgets (the same as test/test_vmm_fastpath.ml's): the
+     TLB-hit access path allocates nothing, and one ghttpd connection
+     allocates at most 6,000 words, at most 2,048 of them directly in
+     the major heap. *)
+  if structural_int "access_minor_words" <> 0 then
+    fail "TLB-hit accesses allocated %d minor words"
+      (structural_int "access_minor_words");
+  let conn_minor = structural_int "connection_minor_words" in
+  let conn_major = structural_int "connection_major_words" in
+  if conn_minor + conn_major > 6000 then
+    fail "one ghttpd connection allocated %d words (budget 6000)"
+      (conn_minor + conn_major);
+  if conn_major > 2048 then
+    fail "one ghttpd connection allocated %d words directly in the major \
+          heap (budget 2048)"
+      conn_major;
   (* Static elision: the analysis-driven scheme must have skipped real
      syscalls on at least two workloads, kept outputs identical, and —
      the soundness half — every seeded-bug probe must still be detected

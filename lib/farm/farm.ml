@@ -121,6 +121,9 @@ let run_shard ~scheduler ~shard ~make_scheme ~handler ~recover ~trace_capacity =
     if trace_capacity > 0 then Telemetry.Sink.create ~capacity:trace_capacity ()
     else Telemetry.Sink.disabled ()
   in
+  (* The vmm.* counters, resolved when the first connection ends, so the
+     registry's names and their order match a per-connection lookup. *)
+  let vmm_totals = lazy (Vmm.Stats.create ~registry ()) in
   let busy = ref 0.0 in
   let served = ref 0 in
   (* The scheme serving the connection in flight, for crash attribution
@@ -188,7 +191,7 @@ let run_shard ~scheduler ~shard ~make_scheme ~handler ~recover ~trace_capacity =
       in
       if va_pages > Metrics.gauge_value shadow_va then
         Metrics.set_gauge shadow_va va_pages;
-      Vmm.Stats.accumulate registry r.Runtime.Process.stats;
+      Vmm.Stats.add_snapshot (Lazy.force vmm_totals) r.Runtime.Process.stats;
       loop ()
   in
   loop ();

@@ -80,8 +80,8 @@ let scheme ?(config = default_config) machine =
     {
       config;
       heap = Heap.Freelist_malloc.create machine;
-      gcs = Hashtbl.create 4096;
-      retired = Hashtbl.create 4096;
+      gcs = Hashtbl.create 16;
+      retired = Hashtbl.create 16;
       next_cap = 1;
     }
   in

@@ -59,7 +59,6 @@ let free st machine ?(site = "<unknown>") addr =
 
 let scheme ?(guard_pages = true) machine =
   let st = { registry = Shadow.Object_registry.create (); guard_pages } in
-  let guard f = Shadow.Detector.guard st.registry ~in_free:false f in
   let rec scheme =
     lazy
       {
@@ -67,9 +66,8 @@ let scheme ?(guard_pages = true) machine =
         machine;
         malloc = (fun ?site size -> malloc st machine ?site size);
         free = (fun ?site a -> free st machine ?site a);
-        load = (fun addr ~width -> guard (fun () -> Mmu.load machine addr ~width));
-        store =
-          (fun addr ~width v -> guard (fun () -> Mmu.store machine addr ~width v));
+        load = Shadow.Detector.load st.registry ~in_free:false machine;
+        store = Shadow.Detector.store st.registry machine;
         pool_create =
           (fun ?elem_size:_ () ->
             Scheme.direct_pool (Lazy.force scheme));

@@ -199,18 +199,16 @@ let trace_violation machine (r : Shadow.Report.t) =
       Shadow.Report.to_event r)
 
 let guarded_load machine registry addr ~width =
-  try
-    Shadow.Detector.guard registry ~in_free:false (fun () ->
-        Mmu.load machine addr ~width)
-  with Shadow.Report.Violation r as exn ->
+  match Shadow.Detector.load registry ~in_free:false machine addr ~width with
+  | v -> v
+  | exception (Shadow.Report.Violation r as exn) ->
     trace_violation machine r;
     raise exn
 
 let guarded_store machine registry addr ~width v =
-  try
-    Shadow.Detector.guard registry ~in_free:false (fun () ->
-        Mmu.store machine addr ~width v)
-  with Shadow.Report.Violation r as exn ->
+  match Shadow.Detector.store registry machine addr ~width v with
+  | () -> ()
+  | exception (Shadow.Report.Violation r as exn) ->
     trace_violation machine r;
     raise exn
 

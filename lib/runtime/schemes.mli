@@ -253,7 +253,7 @@ val shadow_pool_spatial : ?config:spatial_config -> Vmm.Machine.t -> Scheme.t
     {!Governed}'s included.  The [trace_*] emitters allocate nothing
     when the machine's sink is disabled, except [trace_violation], which
     always emits.  A guarded access classifies its trap against the
-    registry ({!Shadow.Detector.guard}), traces the violation and
+    registry ({!Shadow.Detector.load}/[store]), traces the violation and
     re-raises it. *)
 
 val trace_malloc : Vmm.Machine.t -> string -> int -> Vmm.Addr.t -> unit

@@ -115,7 +115,7 @@ let scheme ?(config = default_config) machine =
     {
       config;
       heap = Heap.Freelist_malloc.create machine;
-      by_page = Hashtbl.create 4096;
+      by_page = Hashtbl.create 16;
       quarantine = Queue.create ();
       quarantined_bytes = 0;
       next_id = 0;

@@ -36,7 +36,16 @@ let classify registry ~in_free fault =
     in
     { Report.kind; fault_addr = addr; object_info = None }
 
-let guard registry ~in_free thunk =
-  try thunk () with
-  | Vmm.Fault.Trap fault ->
+(* The trap handler around one MMU access.  [match … with exception]
+   rather than a thunk, so a guarded access allocates nothing. *)
+let load registry ~in_free machine addr ~width =
+  match Vmm.Mmu.load machine addr ~width with
+  | v -> v
+  | exception Vmm.Fault.Trap fault ->
     raise (Report.Violation (classify registry ~in_free fault))
+
+let store registry machine addr ~width v =
+  match Vmm.Mmu.store machine addr ~width v with
+  | () -> ()
+  | exception Vmm.Fault.Trap fault ->
+    raise (Report.Violation (classify registry ~in_free:false fault))

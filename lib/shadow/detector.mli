@@ -14,6 +14,14 @@ val classify :
     a header inside [free] — those are double/invalid frees rather than
     use-after-free loads. *)
 
-val guard : Object_registry.t -> in_free:bool -> (unit -> 'a) -> 'a
-(** Run a thunk, converting any {!Vmm.Fault.Trap} it raises into a
-    {!Report.Violation} with full diagnostics. *)
+val load :
+  Object_registry.t -> in_free:bool -> Vmm.Machine.t -> Vmm.Addr.t ->
+  width:int -> int
+(** [Vmm.Mmu.load], converting a {!Vmm.Fault.Trap} into a
+    {!Report.Violation} with full diagnostics ({!classify}).  Allocates
+    nothing unless it traps: the access path of the detecting schemes. *)
+
+val store :
+  Object_registry.t -> Vmm.Machine.t -> Vmm.Addr.t -> width:int -> int ->
+  unit
+(** [Vmm.Mmu.store] under the same trap handler, with [in_free:false]. *)

@@ -101,8 +101,8 @@ let trace_violation t (r : Report.t) =
    only the registry remembers they are dead. *)
 let find_free_target t user =
   let canonical =
-    Detector.guard t.registry ~in_free:true (fun () ->
-        Mmu.load t.machine (user - header_bytes) ~width:8)
+    Detector.load t.registry ~in_free:true t.machine (user - header_bytes)
+      ~width:8
   in
   match Object_registry.find_by_addr t.registry user with
   | Some obj when obj.Object_registry.state <> Object_registry.Live ->

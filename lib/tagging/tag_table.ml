@@ -57,7 +57,7 @@ let create ?(tag_bits = 8) ?(check_cost = 4) machine =
     tag_mask = (1 lsl tag_bits) - 1;
     check_cost;
     entry_bytes = (tag_bits + 7) / 8;
-    table = Hashtbl.create 1024;
+    table = Hashtbl.create 16;
     next_id = 0;
     tag_checks = 0;
     tag_faults = 0;

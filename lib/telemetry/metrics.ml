@@ -41,7 +41,8 @@ let counter t name =
   | Counter c -> c
   | _ -> assert false
 
-let incr ?(by = 1) c = c.c_value <- c.c_value + by
+let add c n = c.c_value <- c.c_value + n
+let incr c = add c 1
 let set_counter c v = c.c_value <- v
 let counter_value c = c.c_value
 
@@ -78,7 +79,7 @@ let merge ~into src =
     (fun name ->
       match Hashtbl.find_opt src.tbl name with
       | None -> ()
-      | Some (Counter c) -> incr ~by:c.c_value (counter into name)
+      | Some (Counter c) -> add (counter into name) c.c_value
       | Some (Gauge g) ->
         let dst = gauge into name in
         (* Gauges record levels (peaks, watermarks): max is the only

@@ -15,7 +15,10 @@ val counter : t -> string -> counter
 (** Raises [Invalid_argument] if the name is registered as another
     metric kind. *)
 
-val incr : ?by:int -> counter -> unit
+val add : counter -> int -> unit
+(** [add c n] adds [n] to [c]. *)
+
+val incr : counter -> unit
 val set_counter : counter -> int -> unit
 val counter_value : counter -> int
 

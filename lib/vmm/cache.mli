@@ -16,11 +16,17 @@
 type t
 
 val create : ?sets:int -> ?ways:int -> ?line_bytes:int -> unit -> t
-(** Default: 256 sets x 4 ways x 64-byte lines = 64 KiB, LRU. *)
+(** Default: 256 sets x 4 ways x 64-byte lines = 64 KiB, LRU.  A set's
+    storage is built on its first access. *)
 
 val access : t -> Stats.t -> phys_addr:int -> unit
 (** Look up the line containing the physical byte address; counts a
-    cache hit or miss and fills on miss. *)
+    cache hit or miss and fills on miss, evicting the least recently
+    used way.  Allocation-free once the set is built. *)
 
 val flush : t -> unit
+
+val resident_lines : t -> int list
+(** Diagnostic: the line numbers currently cached, ascending. *)
+
 val capacity_bytes : t -> int

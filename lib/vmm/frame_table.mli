@@ -8,7 +8,13 @@
     Frames live in a slot array indexed by frame number (lookup is one
     array read, no hashing); retired frame numbers are reused, as a real
     physical page allocator would, so memory is bounded by the peak —
-    not cumulative — frame count. *)
+    not cumulative — frame count.
+
+    Frames are demand-zero: a frame gets its page of storage on its
+    first write (a retired buffer, zero-filled, or a fresh one).  Until
+    then every read returns 0, and a frame never written costs no
+    storage at all.  Frame counts ({!live_frames}, {!peak_frames}, the
+    [frames_allocated] stat) count frames, not materialised storage. *)
 
 type t
 type frame = int (** Physical frame number. *)
@@ -18,12 +24,13 @@ val create : unit -> t
 val allocate : t -> Stats.t -> frame
 (** Allocate a zeroed frame with reference count 0 (the caller maps it,
     which takes the first reference).  Frame numbers of fully released
-    frames may be reused. *)
+    frames may be reused.  No storage is attached until the first
+    write. *)
 
 val incr_ref : t -> frame -> unit
 val decr_ref : t -> frame -> unit
-(** Release one mapping reference.  The frame's storage is reclaimed when
-    the count drops to zero. *)
+(** Release one mapping reference.  The frame's storage, if it was ever
+    written, is kept for reuse when the count drops to zero. *)
 
 val ref_count : t -> frame -> int
 val live_frames : t -> int

@@ -3,36 +3,53 @@
    hashing, no allocation — which is what lets the MMU's table walk (and
    the TLB-first fast path above it) stay at a handful of instructions.
 
-   The directory grows by doubling as the bump-allocated VA space grows;
-   chunks materialise lazily, so sparse address spaces stay cheap. *)
+   The directory covers a window of chunk indices starting at the first
+   chunk mapped, and grows by doubling (in either direction) as the
+   bump-allocated VA space grows; chunks materialise lazily, so sparse
+   address spaces stay cheap.  Both stay small enough for the OCaml minor
+   heap (a 256-entry chunk, a 16-entry directory to start with), so a
+   short-lived machine's page table is never a major-heap allocation. *)
 
 type entry = { frame : Frame_table.frame; perm : Perm.t }
 
-let chunk_shift = 10
-let chunk_size = 1 lsl chunk_shift (* 1024 pages = 4 MiB of VA per chunk *)
+let chunk_shift = 8
+let chunk_size = 1 lsl chunk_shift (* 256 pages = 1 MiB of VA per chunk *)
 let chunk_mask = chunk_size - 1
 
 type t = {
   mutable dir : int array option array;
+  mutable lo : int;     (* chunk index of [dir.(0)] *)
   mutable mapped : int; (* live entries, maintained incrementally *)
   mutable walks : int;  (* diagnostic: table walks performed *)
 }
 
-let create () = { dir = Array.make 128 None; mapped = 0; walks = 0 }
+let create () = { dir = Array.make 16 None; lo = -1; mapped = 0; walks = 0 }
 
-let grow t want =
-  let len = ref (Array.length t.dir) in
-  while !len <= want do
-    len := !len * 2
-  done;
-  let dir = Array.make !len None in
-  Array.blit t.dir 0 dir 0 (Array.length t.dir);
-  t.dir <- dir
+(* Widen the directory to cover chunk [d], at least doubling, with the
+   new room on the side [d] lies on, so a run of chunks mapped in
+   descending order grows it as rarely as an ascending one. *)
+let cover t d =
+  let len = Array.length t.dir in
+  if t.lo < 0 then t.lo <- d
+  else if d < t.lo || d >= t.lo + len then begin
+    let hi = max (t.lo + len) (d + 1) in
+    let n = ref (2 * len) in
+    while !n < hi - min t.lo d do
+      n := !n * 2
+    done;
+    let lo = if d < t.lo then max 0 (hi - !n) else t.lo in
+    let dir = Array.make !n None in
+    Array.blit t.dir 0 dir (t.lo - lo) len;
+    t.dir <- dir;
+    t.lo <- lo
+  end
+
+let slot_of t page = (page lsr chunk_shift) - t.lo
 
 (* The chunk for [page], materialising it if needed. *)
 let chunk_rw t page =
-  let d = page lsr chunk_shift in
-  if d >= Array.length t.dir then grow t d;
+  cover t (page lsr chunk_shift);
+  let d = slot_of t page in
   match t.dir.(d) with
   | Some c -> c
   | None ->
@@ -43,8 +60,8 @@ let chunk_rw t page =
 (* Fast read-only lookup: the MMU's table walk. *)
 let pte t ~page =
   t.walks <- t.walks + 1;
-  let d = page lsr chunk_shift in
-  if d >= Array.length t.dir then Pte.none
+  let d = slot_of t page in
+  if d < 0 || d >= Array.length t.dir then Pte.none
   else
     match Array.unsafe_get t.dir d with
     | None -> Pte.none
@@ -60,11 +77,11 @@ let map t stats ~page ~frame ~perm =
   Stats.count_page_mapped stats
 
 let unmap t ~page =
-  let d = page lsr chunk_shift in
+  let d = slot_of t page in
   let missing () =
     invalid_arg (Printf.sprintf "Page_table.unmap: page %d not mapped" page)
   in
-  if d >= Array.length t.dir then missing ()
+  if d < 0 || d >= Array.length t.dir then missing ()
   else
     match t.dir.(d) with
     | None -> missing ()
@@ -88,7 +105,7 @@ let set_perm t ~page perm =
   if not (Pte.is_present e) then
     invalid_arg (Printf.sprintf "Page_table.set_perm: page %d not mapped" page)
   else
-    match t.dir.(page lsr chunk_shift) with
+    match t.dir.(slot_of t page) with
     | Some c -> c.(page land chunk_mask) <- Pte.with_perm e perm
     | None ->
       failwith
@@ -107,7 +124,7 @@ let set_perm_range t ~page ~pages perm =
   let remaining = ref pages in
   while !remaining > 0 do
     let c =
-      match t.dir.(!p lsr chunk_shift) with
+      match t.dir.(slot_of t !p) with
       | Some c -> c
       | None ->
         failwith
@@ -136,7 +153,7 @@ let iter t f =
         Array.iteri
           (fun i e ->
             if Pte.is_present e then
-              f ((d lsl chunk_shift) lor i)
+              f (((t.lo + d) lsl chunk_shift) lor i)
                 { frame = Pte.frame e; perm = Pte.perm e })
           c)
     t.dir

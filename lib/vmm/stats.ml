@@ -96,7 +96,7 @@ let create ?registry () : t =
 
 let registry (t : t) = t.registry
 
-let count_instructions (t : t) n = Telemetry.Metrics.incr ~by:n t.instructions
+let count_instructions (t : t) n = Telemetry.Metrics.add t.instructions n
 let count_load (t : t) = Telemetry.Metrics.incr t.loads
 let count_store (t : t) = Telemetry.Metrics.incr t.stores
 let count_tlb_hit (t : t) = Telemetry.Metrics.incr t.tlb_hits
@@ -105,7 +105,7 @@ let count_tlb_flush (t : t) = Telemetry.Metrics.incr t.tlb_flushes
 
 let count_tlb_shootdown (t : t) ~pages =
   Telemetry.Metrics.incr t.tlb_shootdowns;
-  Telemetry.Metrics.incr ~by:pages t.tlb_shootdown_pages
+  Telemetry.Metrics.add t.tlb_shootdown_pages pages
 
 let count_cache_hit (t : t) = Telemetry.Metrics.incr t.cache_hits
 let count_cache_miss (t : t) = Telemetry.Metrics.incr t.cache_misses
@@ -235,11 +235,30 @@ let field_values (s : snapshot) =
     ("vmm.free_ops", s.free_ops);
   ]
 
-let accumulate registry (s : snapshot) =
-  List.iter
-    (fun (name, v) ->
-      Telemetry.Metrics.incr ~by:v (Telemetry.Metrics.counter registry name))
-    (field_values s)
+let add_snapshot (t : t) (s : snapshot) =
+  let add = Telemetry.Metrics.add in
+  add t.instructions s.instructions;
+  add t.loads s.loads;
+  add t.stores s.stores;
+  add t.tlb_hits s.tlb_hits;
+  add t.tlb_misses s.tlb_misses;
+  add t.tlb_flushes s.tlb_flushes;
+  add t.tlb_shootdowns s.tlb_shootdowns;
+  add t.tlb_shootdown_pages s.tlb_shootdown_pages;
+  add t.cache_hits s.cache_hits;
+  add t.cache_misses s.cache_misses;
+  add t.syscalls_mmap s.syscalls_mmap;
+  add t.syscalls_mremap s.syscalls_mremap;
+  add t.syscalls_mprotect s.syscalls_mprotect;
+  add t.syscalls_munmap s.syscalls_munmap;
+  add t.syscalls_dummy s.syscalls_dummy;
+  add t.faults s.faults;
+  add t.syscalls_failed s.syscalls_failed;
+  add t.syscall_retries s.syscall_retries;
+  add t.pages_mapped s.pages_mapped;
+  add t.frames_allocated s.frames_allocated;
+  add t.alloc_ops s.alloc_ops;
+  add t.free_ops s.free_ops
 
 let snapshot_to_json s =
   Telemetry.Json.Obj

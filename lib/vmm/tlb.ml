@@ -33,22 +33,25 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
+(* The index of the slot caching [page], or -1. *)
+let rec find set page i =
+  if i >= Array.length set then -1
+  else if (Array.unsafe_get set i).page = page then i
+  else find set page (i + 1)
+
 (* The fast path: packed entry on a hit, [Pte.none] on a miss.  No
    allocation either way. *)
 let lookup_pte t stats ~page =
   let set = set_of t page in
-  let ways = Array.length set in
-  let rec find i =
-    if i >= ways then Pte.none
-    else
+  let i = find set page 0 in
+  let pte =
+    if i < 0 then Pte.none
+    else begin
       let s = Array.unsafe_get set i in
-      if s.page = page then begin
-        s.stamp <- tick t;
-        s.pte
-      end
-      else find (i + 1)
+      s.stamp <- tick t;
+      s.pte
+    end
   in
-  let pte = find 0 in
   if Pte.is_present pte then Stats.count_tlb_hit stats
   else Stats.count_tlb_miss stats;
   pte
@@ -59,13 +62,15 @@ let lookup t stats ~page =
 
 let insert_pte t ~page ~pte =
   let set = set_of t page in
-  (* Reuse an existing slot for this page if present, else evict LRU. *)
+  (* Reuse an existing slot for this page if present, else evict LRU.
+     Invalidated slots keep their stamps, so they compete on age like
+     any other way. *)
   let victim = ref set.(0) in
-  Array.iter
-    (fun s ->
-      if s.page = page then victim := s
-      else if !victim.page <> page && s.stamp < !victim.stamp then victim := s)
-    set;
+  for i = 0 to Array.length set - 1 do
+    let s = set.(i) in
+    if s.page = page then victim := s
+    else if !victim.page <> page && s.stamp < !victim.stamp then victim := s
+  done;
   let v = !victim in
   v.page <- page;
   v.pte <- pte;
@@ -98,5 +103,12 @@ let invalidate_range t ~page ~pages =
 let flush t stats =
   Array.iter (fun set -> Array.iter (fun s -> s.page <- invalid_page) set) t.sets;
   Stats.count_tlb_flush stats
+
+let resident_pages t =
+  Array.fold_left
+    (Array.fold_left (fun acc s ->
+         if s.page = invalid_page then acc else s.page :: acc))
+    [] t.sets
+  |> List.sort compare
 
 let capacity t = t.n_sets * Array.length t.sets.(0)

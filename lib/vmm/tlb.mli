@@ -40,4 +40,7 @@ val invalidate_range : t -> page:int -> pages:int -> unit
 val flush : t -> Stats.t -> unit
 (** Full flush (e.g. on simulated [fork]/context switch). *)
 
+val resident_pages : t -> int list
+(** Diagnostic: the pages currently cached, ascending. *)
+
 val capacity : t -> int

@@ -23,8 +23,7 @@ let make_pool ?unmap ?recycler () =
   (m, registry, pool)
 
 let guarded_load registry m addr =
-  Shadow.Detector.guard registry ~in_free:false (fun () ->
-      Mmu.load m addr ~width:8)
+  Shadow.Detector.load registry ~in_free:false m addr ~width:8
 
 let expect_trap name registry m addr =
   match guarded_load registry m addr with

@@ -19,12 +19,8 @@ let make_heap () =
   in
   (m, registry, heap)
 
-let load m registry a =
-  Shadow.Detector.guard registry ~in_free:false (fun () -> Mmu.load m a ~width:8)
-
-let store m registry a v =
-  Shadow.Detector.guard registry ~in_free:false (fun () ->
-      Mmu.store m a ~width:8 v)
+let load m registry a = Shadow.Detector.load registry ~in_free:false m a ~width:8
+let store m registry a v = Shadow.Detector.store registry m a ~width:8 v
 
 (* ---- basic mechanism ---- *)
 

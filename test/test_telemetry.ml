@@ -148,7 +148,7 @@ let test_histogram_merge_into_empty () =
 
 let registry_a () =
   let m = Telemetry.Metrics.create () in
-  Telemetry.Metrics.incr ~by:3 (Telemetry.Metrics.counter m "reqs");
+  Telemetry.Metrics.add (Telemetry.Metrics.counter m "reqs") 3;
   Telemetry.Metrics.set_gauge (Telemetry.Metrics.gauge m "depth") 2.0;
   List.iter
     (Telemetry.Histogram.observe (Telemetry.Metrics.histogram m "lat"))
@@ -157,8 +157,8 @@ let registry_a () =
 
 let registry_b () =
   let m = Telemetry.Metrics.create () in
-  Telemetry.Metrics.incr ~by:4 (Telemetry.Metrics.counter m "reqs");
-  Telemetry.Metrics.incr ~by:2 (Telemetry.Metrics.counter m "errors");
+  Telemetry.Metrics.add (Telemetry.Metrics.counter m "reqs") 4;
+  Telemetry.Metrics.add (Telemetry.Metrics.counter m "errors") 2;
   Telemetry.Metrics.set_gauge (Telemetry.Metrics.gauge m "depth") 5.0;
   List.iter
     (Telemetry.Histogram.observe (Telemetry.Metrics.histogram m "lat"))
@@ -212,7 +212,7 @@ let test_metrics_registry () =
   let m = Telemetry.Metrics.create () in
   let c = Telemetry.Metrics.counter m "requests" in
   Telemetry.Metrics.incr c;
-  Telemetry.Metrics.incr c ~by:4;
+  Telemetry.Metrics.add c 4;
   check_int "counter" 5 (Telemetry.Metrics.counter_value c);
   Telemetry.Metrics.set_gauge (Telemetry.Metrics.gauge m "depth") 3.5;
   check (Alcotest.float 1e-9) "gauge" 3.5
@@ -226,7 +226,7 @@ let test_metrics_registry () =
 
 let test_metrics_json_parses () =
   let m = Telemetry.Metrics.create () in
-  Telemetry.Metrics.incr (Telemetry.Metrics.counter m "n") ~by:7;
+  Telemetry.Metrics.add (Telemetry.Metrics.counter m "n") 7;
   Telemetry.Histogram.observe
     (Telemetry.Metrics.histogram m "lat")
     123.0;
@@ -279,8 +279,9 @@ let test_stats_accumulate () =
   let s1 = Vmm.Stats.snapshot (busy_machine ()).Vmm.Machine.stats in
   let s2 = Vmm.Stats.snapshot (busy_machine ()).Vmm.Machine.stats in
   let acc = Telemetry.Metrics.create () in
-  Vmm.Stats.accumulate acc s1;
-  Vmm.Stats.accumulate acc s2;
+  let totals = Vmm.Stats.create ~registry:acc () in
+  Vmm.Stats.add_snapshot totals s1;
+  Vmm.Stats.add_snapshot totals s2;
   List.iter
     (fun (name, v) ->
       check_int name v
@@ -433,11 +434,11 @@ let crash_name =
 
 let test_metrics_merge_crash_counters () =
   let a = Telemetry.Metrics.create () in
-  Telemetry.Metrics.incr ~by:2 (Telemetry.Metrics.counter a crash_name);
+  Telemetry.Metrics.add (Telemetry.Metrics.counter a crash_name) 2;
   Telemetry.Metrics.set_gauge (Telemetry.Metrics.gauge a "fleet.signatures") 1.0;
   let b = Telemetry.Metrics.create () in
-  Telemetry.Metrics.incr ~by:3 (Telemetry.Metrics.counter b crash_name);
-  Telemetry.Metrics.incr ~by:5 (Telemetry.Metrics.counter b "fleet.reports_total");
+  Telemetry.Metrics.add (Telemetry.Metrics.counter b crash_name) 3;
+  Telemetry.Metrics.add (Telemetry.Metrics.counter b "fleet.reports_total") 5;
   Telemetry.Metrics.set_gauge (Telemetry.Metrics.gauge b "fleet.signatures") 2.0;
   Telemetry.Metrics.merge ~into:a b;
   check_int "labelled counters add" 5
@@ -455,8 +456,8 @@ let test_metrics_merge_crash_counters () =
 
 let test_prometheus_export () =
   let m = Telemetry.Metrics.create () in
-  Telemetry.Metrics.incr ~by:7 (Telemetry.Metrics.counter m crash_name);
-  Telemetry.Metrics.incr ~by:9 (Telemetry.Metrics.counter m "farm.connections");
+  Telemetry.Metrics.add (Telemetry.Metrics.counter m crash_name) 7;
+  Telemetry.Metrics.add (Telemetry.Metrics.counter m "farm.connections") 9;
   Telemetry.Metrics.set_gauge (Telemetry.Metrics.gauge m "farm.max_va_bytes") 4096.0;
   List.iter
     (Telemetry.Histogram.observe (Telemetry.Metrics.histogram m "farm.latency_cycles"))

@@ -104,6 +104,46 @@ let test_tlb_hit_skips_page_table () =
   check_int "8-byte store: exactly one frame lookup" (frames1 + 1)
     (Frame_table.lookup_count m.Machine.frames)
 
+(* The directory starts at the first chunk mapped and must widen in both
+   directions, keeping every entry and the ascending [iter] order — also
+   over a long run of chunks mapped in descending order. *)
+let test_page_table_directory_grows_both_ways () =
+  let pt = Page_table.create () in
+  let stats = Stats.create () in
+  let pages = [ 70_000; 300; 5_000_000; 0; 70_255; 70_256; 1_000 ] in
+  List.iteri
+    (fun i page -> Page_table.map pt stats ~page ~frame:i ~perm:Perm.Read_write)
+    pages;
+  List.iteri
+    (fun i page ->
+      check_int (Printf.sprintf "page %d frame" page) i
+        (Pte.frame (Page_table.pte pt ~page)))
+    pages;
+  List.iter
+    (fun page ->
+      check_bool (Printf.sprintf "page %d unmapped" page) false
+        (Page_table.is_mapped pt ~page))
+    [ 1; 299; 69_999; 4_999_999; 9_000_000 ];
+  let seen = ref [] in
+  Page_table.iter pt (fun page _ -> seen := page :: !seen);
+  check (Alcotest.list Alcotest.int) "iter ascending" (List.sort compare pages)
+    (List.rev !seen);
+  Page_table.set_perm_range pt ~page:70_255 ~pages:2 Perm.No_access;
+  check_bool "range crosses a chunk boundary" true
+    (Perm.equal Perm.No_access (Pte.perm (Page_table.pte pt ~page:70_256)));
+  List.iter (fun page -> ignore (Page_table.unmap pt ~page)) pages;
+  check_int "all unmapped" 0 (Page_table.mapped_pages pt);
+  let pt = Page_table.create () in
+  let descending = List.init 200 (fun k -> 3_000_000 - (k * 256)) in
+  List.iter
+    (fun page -> Page_table.map pt stats ~page ~frame:page ~perm:Perm.Read_only)
+    descending;
+  List.iter
+    (fun page ->
+      check_int "descending run keeps every entry" page
+        (Pte.frame (Page_table.pte pt ~page)))
+    descending
+
 let test_tlb_miss_walks_once () =
   let m = Machine.create () in
   let a = Kernel.mmap m ~pages:1 in
@@ -447,6 +487,343 @@ let test_differential_fixed_seeds () =
     (fun seed -> differential_run ~seed ~steps:3_000 ~n_pages:48)
     [ 1; 7; 42; 1234 ]
 
+(* ---- Demand-zero frames: a frame gets storage on its first write;
+   until then every read path sees zeros. *)
+
+let widths = [ 1; 2; 4; 8 ]
+
+let test_fresh_frame_reads_zero () =
+  let m = Machine.create () in
+  let a = Kernel.mmap m ~pages:2 in
+  List.iter
+    (fun width ->
+      check_int (Printf.sprintf "width %d at page start" width) 0
+        (Mmu.load m a ~width);
+      check_int (Printf.sprintf "width %d mid-page" width) 0
+        (Mmu.load m (a + 1000) ~width))
+    widths;
+  (* The page-crossing byte path over two untouched frames. *)
+  check_int "cross-page load" 0
+    (Mmu.load m (a + Addr.page_size - 3) ~width:8);
+  let ft = Frame_table.create () in
+  let f = Frame_table.allocate ft (Stats.create ()) in
+  Frame_table.incr_ref ft f;
+  check_int "read_byte" 0 (Frame_table.read_byte ft f 4095);
+  List.iter
+    (fun width ->
+      check_int (Printf.sprintf "read_word %d" width) 0
+        (Frame_table.read_word ft f 8 ~width))
+    widths
+
+let test_spare_buffer_reused_zeroed () =
+  let m = Machine.create () in
+  let a = Kernel.mmap m ~pages:1 in
+  for w = 0 to (Addr.page_size / 8) - 1 do
+    Mmu.store m (a + (w * 8)) ~width:8 (-1)
+  done;
+  Kernel.munmap m ~addr:a ~pages:1;
+  Kernel.mmap_fixed m ~addr:a ~pages:1;
+  (* Materialising the new frame must take the retired, dirty buffer
+     (no fresh 4 KiB allocation) and hand it over zero-filled. *)
+  let (_, promoted0, major0) = Gc.counters () in
+  Mmu.store m (a + 64) ~width:8 5;
+  let (_, promoted1, major1) = Gc.counters () in
+  check_bool "spare buffer reused, no page-sized allocation" true
+    (major1 -. major0 -. (promoted1 -. promoted0) < 512.);
+  for w = 0 to (Addr.page_size / 8) - 1 do
+    check_int (Printf.sprintf "word %d" w)
+      (if w = 8 then 5 else 0)
+      (Mmu.load m (a + (w * 8)) ~width:8)
+  done
+
+let test_alias_shares_materialised_storage () =
+  let m = Machine.create () in
+  (* Write through the shadow alias first, read through the canonical
+     page: both pages map one still-untouched frame. *)
+  let canonical = Kernel.mmap m ~pages:1 in
+  let shadow = Kernel.mremap_alias m ~src:canonical ~pages:1 in
+  Mmu.store m (shadow + 24) ~width:8 0x5eed;
+  check_int "shadow write visible canonically" 0x5eed
+    (Mmu.load m (canonical + 24) ~width:8);
+  check_int "rest of the canonical page still zero" 0
+    (Mmu.load m canonical ~width:8);
+  (* And the reverse. *)
+  let canonical = Kernel.mmap m ~pages:1 in
+  let shadow = Kernel.mremap_alias m ~src:canonical ~pages:1 in
+  Mmu.store m (canonical + 40) ~width:4 0xBEEF;
+  check_int "canonical write visible through shadow" 0xBEEF
+    (Mmu.load m (shadow + 40) ~width:4);
+  Mmu.store m (shadow + 40) ~width:4 7;
+  check_int "and back again" 7 (Mmu.load m (canonical + 40) ~width:4)
+
+let test_exempt_and_heap_scan_over_untouched () =
+  let m = Machine.create () in
+  let a = Kernel.mmap m ~pages:2 in
+  List.iter
+    (fun width ->
+      check_int (Printf.sprintf "load_exempt width %d" width) 0
+        (Mmu.load_exempt m (a + 16) ~width))
+    widths;
+  check_int "load_exempt cross-page" 0
+    (Mmu.load_exempt m (a + Addr.page_size - 5) ~width:8);
+  let seen = ref 0 in
+  Roots.iter_heap_words m ~addr:a ~bytes:(2 * Addr.page_size) (fun _ _ ->
+      incr seen);
+  check_int "no non-zero heap words in untouched frames" 0 !seen;
+  Mmu.store_exempt m (a + Addr.page_size + 8) ~width:8 a;
+  Roots.iter_heap_words m ~addr:a ~bytes:(2 * Addr.page_size) (fun w v ->
+      check_int "scanned word address" (a + Addr.page_size + 8) w;
+      check_int "scanned word value" a v;
+      incr seen);
+  check_int "exactly the written word" 1 !seen
+
+let test_frame_accounting_unchanged_by_lazy_storage () =
+  let m = Machine.create () in
+  let frames () = m.Machine.frames in
+  let allocated () = (Stats.snapshot m.Machine.stats).Stats.frames_allocated in
+  let a = Kernel.mmap m ~pages:5 in
+  check_int "frames_allocated counts untouched frames" 5 (allocated ());
+  check_int "live counts untouched frames" 5 (Frame_table.live_frames (frames ()));
+  check_int "peak counts untouched frames" 5 (Frame_table.peak_frames (frames ()));
+  Mmu.store m (a + Addr.page_size) ~width:8 1;
+  check_int "a write allocates no frame" 5 (allocated ());
+  check_int "nor changes live" 5 (Frame_table.live_frames (frames ()));
+  Kernel.munmap m ~addr:a ~pages:5;
+  check_int "all released" 0 (Frame_table.live_frames (frames ()));
+  check_int "peak retained" 5 (Frame_table.peak_frames (frames ()));
+  ignore (Kernel.mmap m ~pages:3);
+  check_int "reallocation counted" 8 (allocated ());
+  check_int "peak unchanged below it" 5 (Frame_table.peak_frames (frames ()))
+
+(* ---- Allocation gates: the access path allocates nothing on a TLB hit,
+   and a whole fork-per-connection ghttpd connection stays within a
+   fixed word budget.  Native code allocates deterministically, so these
+   are exact structural checks, not timings. *)
+
+(* Minor words [f] allocates, net of the boxed float the measurement
+   itself keeps live across the call. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let minor_words_net f = minor_words_of f -. minor_words_of ignore
+
+let check_no_allocation what f =
+  f ();
+  (* warm: TLB filled, cache sets built *)
+  Alcotest.(check (float 0.)) what 0. (minor_words_net f)
+
+let test_mmu_hit_path_allocation_free () =
+  let m = Machine.create () in
+  let a = Kernel.mmap m ~pages:1 in
+  check_no_allocation "1000 TLB-hit loads" (fun () ->
+      for i = 0 to 999 do
+        ignore (Mmu.load m (a + (i land 511 * 8)) ~width:8)
+      done);
+  check_no_allocation "1000 TLB-hit stores" (fun () ->
+      for i = 0 to 999 do
+        Mmu.store m (a + (i land 511 * 8)) ~width:8 i
+      done)
+
+let test_ours_access_path_allocation_free () =
+  let m = Machine.create () in
+  let s = Runtime.Scheme_spec.build Runtime.Scheme_spec.ours m in
+  let p = s.Runtime.Scheme.malloc ~site:"test" 512 in
+  check_no_allocation "1000 ours loads" (fun () ->
+      for i = 0 to 999 do
+        ignore (s.Runtime.Scheme.load (p + (i land 63 * 8)) ~width:8)
+      done);
+  check_no_allocation "1000 ours stores" (fun () ->
+      for i = 0 to 999 do
+        s.Runtime.Scheme.store (p + (i land 63 * 8)) ~width:8 i
+      done)
+
+(* One fork-per-connection ghttpd connection under [ours]: a fresh
+   machine and scheme, the fork cost, the handler. *)
+let ghttpd_connection conn =
+  let m = Machine.create () in
+  let s = Runtime.Scheme_spec.build Runtime.Scheme_spec.ours m in
+  s.Runtime.Scheme.compute Runtime.Process.fork_cost_instructions;
+  Workload.Servers.ghttpd.Workload.Spec.handler conn s
+
+(* Minor words come from [Gc.minor_words]: [Gc.counters]' minor count is
+   not exact on OCaml 5.1. *)
+let test_connection_word_budget () =
+  ghttpd_connection 0;
+  let _, promoted0, major0 = Gc.counters () in
+  let minor = minor_words_net (fun () -> ghttpd_connection 1) in
+  let _, promoted1, major1 = Gc.counters () in
+  let direct_major = major1 -. major0 -. (promoted1 -. promoted0) in
+  let total = minor +. direct_major in
+  if total > 6000. then
+    Alcotest.failf "connection allocated %.0f words (budget 6000)" total;
+  if direct_major > 2048. then
+    Alcotest.failf "connection allocated %.0f words directly in the major \
+                    heap (budget 2048)"
+      direct_major
+
+(* ---- Reference models: the set-of-records LRU cache and TLB these
+   modules used before their sets became flat or lazily built.  The
+   real modules must make the same hit/miss decision and evict the
+   same victim on every step. *)
+
+module Ref_cache = struct
+  type slot = { mutable line : int; mutable stamp : int }
+  type t = { sets : slot array array; shift : int; mutable clock : int }
+
+  let create ~sets ~ways ~line_bytes =
+    let rec log2 k v = if v >= line_bytes then k else log2 (k + 1) (v * 2) in
+    {
+      sets =
+        Array.init sets (fun _ ->
+            Array.init ways (fun _ -> { line = -1; stamp = 0 }));
+      shift = log2 0 1;
+      clock = 0;
+    }
+
+  (* [true] on a hit. *)
+  let access t ~phys_addr =
+    let line = phys_addr lsr t.shift in
+    let set = t.sets.(line mod Array.length t.sets) in
+    t.clock <- t.clock + 1;
+    match Array.find_opt (fun s -> s.line = line) set with
+    | Some s ->
+      s.stamp <- t.clock;
+      true
+    | None ->
+      let victim = ref set.(0) in
+      Array.iter (fun s -> if s.stamp < !victim.stamp then victim := s) set;
+      !victim.line <- line;
+      !victim.stamp <- t.clock;
+      false
+
+  let flush t = Array.iter (Array.iter (fun s -> s.line <- -1)) t.sets
+
+  let resident t =
+    Array.fold_left
+      (Array.fold_left (fun acc s -> if s.line >= 0 then s.line :: acc else acc))
+      [] t.sets
+    |> List.sort compare
+end
+
+module Ref_tlb = struct
+  type slot = { mutable page : int; mutable stamp : int }
+  type t = { sets : slot array array; mutable clock : int }
+
+  let create ~entries ~ways =
+    {
+      sets =
+        Array.init (entries / ways) (fun _ ->
+            Array.init ways (fun _ -> { page = -1; stamp = 0 }));
+      clock = 0;
+    }
+
+  let set_of t page = t.sets.(page mod Array.length t.sets)
+
+  let tick t =
+    t.clock <- t.clock + 1;
+    t.clock
+
+  let lookup t ~page =
+    match Array.find_opt (fun s -> s.page = page) (set_of t page) with
+    | Some s ->
+      s.stamp <- tick t;
+      true
+    | None -> false
+
+  let insert t ~page =
+    let set = set_of t page in
+    let victim = ref set.(0) in
+    Array.iter
+      (fun s ->
+        if s.page = page then victim := s
+        else if !victim.page <> page && s.stamp < !victim.stamp then victim := s)
+      set;
+    !victim.page <- page;
+    !victim.stamp <- tick t
+
+  let invalidate_range t ~page ~pages =
+    Array.iter
+      (Array.iter (fun s ->
+           if s.page >= page && s.page < page + pages then s.page <- -1))
+      t.sets
+
+  let flush t = Array.iter (Array.iter (fun s -> s.page <- -1)) t.sets
+
+  let resident t =
+    Array.fold_left
+      (Array.fold_left (fun acc s -> if s.page >= 0 then s.page :: acc else acc))
+      [] t.sets
+    |> List.sort compare
+end
+
+let check_ints = check (Alcotest.list Alcotest.int)
+
+let cache_differential ~seed ~steps =
+  let rng = Random.State.make [| seed |] in
+  let sets = 8 and ways = 4 and line_bytes = 64 in
+  let real = Cache.create ~sets ~ways ~line_bytes () in
+  let oracle = Ref_cache.create ~sets ~ways ~line_bytes in
+  let stats = Stats.create () in
+  for step = 1 to steps do
+    let what = Printf.sprintf "seed %d step %d" seed step in
+    if Random.State.int rng 200 = 0 then begin
+      Cache.flush real;
+      Ref_cache.flush oracle
+    end
+    else begin
+      (* Three times the cache's lines, so sets keep overflowing. *)
+      let phys_addr = Random.State.int rng (3 * sets * ways * line_bytes) in
+      let hits0 = (Stats.snapshot stats).Stats.cache_hits in
+      Cache.access real stats ~phys_addr;
+      let hit = (Stats.snapshot stats).Stats.cache_hits > hits0 in
+      check_bool (what ^ ": hit/miss") (Ref_cache.access oracle ~phys_addr) hit
+    end;
+    check_ints (what ^ ": resident lines") (Ref_cache.resident oracle)
+      (Cache.resident_lines real)
+  done
+
+(* Lookups that fill on a miss (an access), ranged shootdowns (a protect
+   or unmap), single-page shootdowns (a remap) and full flushes. *)
+let tlb_differential ~seed ~steps =
+  let rng = Random.State.make [| seed |] in
+  let entries = 16 and ways = 4 and n_pages = 48 in
+  let real = Tlb.create ~entries ~ways () in
+  let oracle = Ref_tlb.create ~entries ~ways in
+  let stats = Stats.create () in
+  for step = 1 to steps do
+    let what = Printf.sprintf "seed %d step %d" seed step in
+    let page = Random.State.int rng n_pages in
+    (match Random.State.int rng 100 with
+     | r when r < 80 ->
+       let hit = Pte.is_present (Tlb.lookup_pte real stats ~page) in
+       check_bool (what ^ ": hit/miss") (Ref_tlb.lookup oracle ~page) hit;
+       if not hit then begin
+         Tlb.insert real ~page ~frame:page ~perm:Perm.Read_write;
+         Ref_tlb.insert oracle ~page
+       end
+     | r when r < 92 ->
+       let pages = 1 + Random.State.int rng (if r < 86 then 4 else n_pages) in
+       Tlb.invalidate_range real ~page ~pages;
+       Ref_tlb.invalidate_range oracle ~page ~pages
+     | r when r < 99 ->
+       Tlb.invalidate_page real ~page;
+       Ref_tlb.invalidate_range oracle ~page ~pages:1
+     | _ ->
+       Tlb.flush real stats;
+       Ref_tlb.flush oracle);
+    check_ints (what ^ ": resident pages") (Ref_tlb.resident oracle)
+      (Tlb.resident_pages real)
+  done
+
+let test_reference_models () =
+  List.iter
+    (fun seed ->
+      cache_differential ~seed ~steps:4_000;
+      tlb_differential ~seed ~steps:4_000)
+    [ 1; 7; 42; 1234; 99991 ]
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -470,6 +847,8 @@ let () =
             test_tlb_hit_skips_page_table;
           Alcotest.test_case "TLB miss walks once" `Quick
             test_tlb_miss_walks_once;
+          Alcotest.test_case "page-table directory grows both ways" `Quick
+            test_page_table_directory_grows_both_ways;
           Alcotest.test_case "word widths" `Quick test_word_access_all_widths;
         ] );
       ( "shootdown",
@@ -484,4 +863,30 @@ let () =
       ( "differential",
         Alcotest.test_case "fixed seeds" `Slow test_differential_fixed_seeds
         :: qcheck [ prop_differential ] );
+      ( "demand-zero",
+        [
+          Alcotest.test_case "fresh frame reads zero" `Quick
+            test_fresh_frame_reads_zero;
+          Alcotest.test_case "spare buffer reused zeroed" `Quick
+            test_spare_buffer_reused_zeroed;
+          Alcotest.test_case "alias shares materialised storage" `Quick
+            test_alias_shares_materialised_storage;
+          Alcotest.test_case "exempt reads and heap scan" `Quick
+            test_exempt_and_heap_scan_over_untouched;
+          Alcotest.test_case "frame accounting" `Quick
+            test_frame_accounting_unchanged_by_lazy_storage;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "MMU TLB-hit path" `Quick
+            test_mmu_hit_path_allocation_free;
+          Alcotest.test_case "ours access path" `Quick
+            test_ours_access_path_allocation_free;
+          Alcotest.test_case "ghttpd connection budget" `Quick
+            test_connection_word_budget;
+        ] );
+      ( "reference-models",
+        [
+          Alcotest.test_case "cache and TLB LRU" `Quick test_reference_models;
+        ] );
     ]
