@@ -10,8 +10,9 @@
    Alongside wall time we record *structural* counts that cannot drift
    with machine load: page-table walks per TLB-hit access (must be 0),
    frame lookups per 8-byte load (must be 1), and the OCaml heap words
-   the access path and one whole connection allocate (native code
-   allocates deterministically, so these are exact too). *)
+   the access path, one whole connection, a shadow alloc + free and a
+   pool destroy allocate (native code allocates deterministically, so
+   these are exact too). *)
 
 open Vmm
 module J = Telemetry.Json
@@ -180,6 +181,36 @@ let connection_words () =
   let _, promoted1, major1 = Gc.counters () in
   (minor, int_of_float (major1 -. major0 -. (promoted1 -. promoted0)))
 
+(* A pool of the [ours] scheme on a fresh machine, warmed by one
+   alloc/free pair. *)
+let warm_ours_pool () =
+  let s = Runtime.Scheme_spec.build Runtime.Scheme_spec.ours (Machine.create ()) in
+  let p = s.Runtime.Scheme.pool_create () in
+  p.Runtime.Scheme.pool_free (p.Runtime.Scheme.pool_alloc ~site:"fastpath" 64);
+  p
+
+(* Minor words of one warm [pool_alloc] + [pool_free] under [ours]: the
+   mean over 256 pairs, so the page-table and shadow-table chunks a run
+   of fresh shadow pages builds now and then are amortised as they are
+   in a long run. *)
+let shadow_alloc_free_words () =
+  let p = warm_ours_pool () in
+  let n = 256 in
+  minor_words (fun () ->
+      for _ = 1 to n do
+        p.Runtime.Scheme.pool_free (p.Runtime.Scheme.pool_alloc ~site:"fastpath" 64)
+      done)
+  / n
+
+(* Minor words [pool_destroy] spends per object, over a pool of 256
+   objects of which every other one was freed. *)
+let pool_destroy_words_per_object () =
+  let p = warm_ours_pool () in
+  let n = 256 in
+  let objs = Array.init n (fun _ -> p.Runtime.Scheme.pool_alloc ~site:"fastpath" 64) in
+  Array.iteri (fun i a -> if i land 1 = 0 then p.Runtime.Scheme.pool_free a) objs;
+  minor_words p.Runtime.Scheme.pool_destroy / (n + 1)
+
 (* Structural counters: machine-load-proof evidence that the fast path
    does what the design says.  Returned as (name, value) pairs; the
    validator and tests pin the expected values. *)
@@ -204,6 +235,8 @@ let structural () =
     ("connection_minor_words", connection_minor);
     ("connection_major_words", connection_major);
     ("access_minor_words", access_minor_words ());
+    ("shadow_alloc_free_words", shadow_alloc_free_words ());
+    ("pool_destroy_words_per_object", pool_destroy_words_per_object ());
   ]
 
 (* Run everything: prints a section to stdout, returns the JSON block

@@ -79,6 +79,19 @@ let () =
     fail "one ghttpd connection allocated %d words directly in the major \
           heap (budget 2048)"
       conn_major;
+  (* Shadow bookkeeping budgets (also pinned by
+     test/test_vmm_fastpath.ml): the measured values plus 25%, and at
+     least 2 words, of headroom.  A warm alloc + free under [ours]
+     measured 54 words (budget 68); pool destroy measured 0 words per
+     object (budget 2) — one ascending walk of the pool's page-indexed
+     range table, no list, sort or coalescing copy per range. *)
+  let alloc_free = structural_int "shadow_alloc_free_words" in
+  if alloc_free > 68 then
+    fail "a warm pool_alloc + pool_free allocated %d words (budget 68)"
+      alloc_free;
+  let destroy_words = structural_int "pool_destroy_words_per_object" in
+  if destroy_words > 2 then
+    fail "pool_destroy allocated %d words per object (budget 2)" destroy_words;
   (* Static elision: the analysis-driven scheme must have skipped real
      syscalls on at least two workloads, kept outputs identical, and —
      the soundness half — every seeded-bug probe must still be detected

@@ -91,7 +91,7 @@ let governed_ops ?side ~machine ~retry ~governor ~ever_unprotected
         Retry.attempt ?policy:retry machine (fun () ->
             try_free_protected ~site a)
       with
-      | Ok () -> Governor.record_success governor
+      | Ok _ -> Governor.record_success governor
       | Error e ->
         Governor.record_failure governor
           ~reason:("free:" ^ Fault_plan.error_label e);

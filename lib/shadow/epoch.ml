@@ -20,7 +20,7 @@ type t = {
   protect : addr:Addr.t -> pages:int -> (unit, Fault_plan.error) result;
   max_frees : int;
   max_pages : int;
-  quarantined : (int, Object_registry.obj) Hashtbl.t; (* page index -> obj *)
+  quarantined : Object_registry.obj Page_map.t; (* shadow page -> obj *)
   mutable pending : entry list; (* newest first *)
   mutable pending_frees : int;
   mutable pending_pages : int;
@@ -38,7 +38,7 @@ let create ?(max_frees = 64) ?(max_pages = 256) ~protect () =
     protect;
     max_frees;
     max_pages;
-    quarantined = Hashtbl.create 64;
+    quarantined = Page_map.create ~empty:Object_registry.vacant;
     pending = [];
     pending_frees = 0;
     pending_pages = 0;
@@ -49,14 +49,14 @@ let create ?(max_frees = 64) ?(max_pages = 256) ~protect () =
     failed_protects = 0;
   }
 
-let iter_obj_pages (o : Object_registry.obj) f =
-  let first = Addr.page_index o.Object_registry.shadow_base in
-  for p = first to first + o.Object_registry.pages - 1 do
-    f p
-  done
+let first_page (o : Object_registry.obj) =
+  Addr.page_index o.Object_registry.shadow_base
 
 let enqueue t (obj : Object_registry.obj) ~release =
-  iter_obj_pages obj (fun p -> Hashtbl.replace t.quarantined p obj);
+  let first = first_page obj in
+  for p = first to first + obj.Object_registry.pages - 1 do
+    Page_map.set t.quarantined p obj
+  done;
   t.pending <- { obj; release } :: t.pending;
   t.pending_frees <- t.pending_frees + 1;
   t.pending_pages <- t.pending_pages + obj.Object_registry.pages
@@ -65,7 +65,8 @@ let should_retire t =
   t.pending_frees >= t.max_frees || t.pending_pages >= t.max_pages
 
 let quarantined_obj t addr =
-  Hashtbl.find_opt t.quarantined (Addr.page_index addr)
+  let obj = Page_map.find t.quarantined (Addr.page_index addr) in
+  if obj == Object_registry.vacant then None else Some obj
 
 let pending_frees t = t.pending_frees
 let pending_pages t = t.pending_pages
@@ -127,7 +128,10 @@ let retire t =
       runs;
     List.iter
       (fun e ->
-        iter_obj_pages e.obj (fun p -> Hashtbl.remove t.quarantined p);
+        let first = first_page e.obj in
+        for p = first to first + e.obj.Object_registry.pages - 1 do
+          Page_map.remove t.quarantined p
+        done;
         e.release ();
         t.retired_frees <- t.retired_frees + 1)
       !retired
@@ -140,4 +144,4 @@ let abandon t =
   t.pending <- [];
   t.pending_frees <- 0;
   t.pending_pages <- 0;
-  Hashtbl.reset t.quarantined
+  Page_map.reset t.quarantined

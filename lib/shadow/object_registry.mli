@@ -6,7 +6,8 @@
     can say {e which} object was used after {e which} free (the quality
     of diagnosis Purify-class tools offer).  It is maintained by the
     shadow allocators at alloc/free/recycle time, outside the simulated
-    machine, and costs nothing in the cycle model. *)
+    machine, and costs nothing in the cycle model.  It is a {!Page_map}:
+    finding an address's record is two array reads, no hashing. *)
 
 type state =
   | Live
@@ -23,9 +24,16 @@ type obj = {
   mutable state : state;
 }
 
+val vacant : obj
+(** The empty-slot sentinel of page-indexed object tables ({!Page_map}
+    keyed by shadow page): never registered, never returned by a
+    lookup. *)
+
 type t
 
 val create : unit -> t
+(** An empty registry; allocates no table storage until the first
+    {!register}. *)
 
 val register :
   t ->
@@ -56,4 +64,5 @@ val freed_retained_count : t -> int
 
 val iter_live : t -> (obj -> unit) -> unit
 (** Visit every live object exactly once — the heap-word enumeration a
-    conservative mark phase scans.  Order is unspecified. *)
+    conservative mark phase scans — in ascending shadow-address
+    order. *)

@@ -99,7 +99,7 @@ let trace_violation t (r : Report.t) =
    it is the software backstop for objects whose free was performed
    {e unprotected} (degraded mode): their pages never got protected, so
    only the registry remembers they are dead. *)
-let find_free_target t user =
+let validate_free t user =
   let canonical =
     Detector.load t.registry ~in_free:true t.machine (user - header_bytes)
       ~width:8
@@ -119,32 +119,35 @@ let find_free_target t user =
     violation Report.Invalid_free user (Some (Detector.object_info obj))
   | None -> violation Report.Invalid_free user None
 
+(* [validate_free] with every violation it raises also traced. *)
+let find_free_target t user =
+  match validate_free t user with
+  | obj -> obj
+  | exception (Report.Violation r as exn) ->
+    trace_violation t r;
+    raise exn
+
 let complete_free t (obj : Object_registry.obj) ~site user =
   Object_registry.mark_freed t.registry obj ~free_site:site;
   t.allocator.dealloc obj.Object_registry.canonical;
   Stats.count_free_op t.machine.Machine.stats;
   trace_free t site user
 
-let with_violation_trace t thunk =
-  try thunk ()
-  with Report.Violation r as exn ->
-    trace_violation t r;
-    raise exn
-
 let try_free t ?(site = "<unknown>") user =
-  with_violation_trace t (fun () ->
-      let obj = find_free_target t user in
-      match
-        Syscalls.mprotect t.machine ~addr:obj.Object_registry.shadow_base
-          ~pages:obj.Object_registry.pages Perm.No_access
-      with
-      | Error e -> Error e (* the object stays live; caller may retry *)
-      | Ok () ->
-        complete_free t obj ~site user;
-        Ok ())
+  let obj = find_free_target t user in
+  match
+    Syscalls.mprotect t.machine ~addr:obj.Object_registry.shadow_base
+      ~pages:obj.Object_registry.pages Perm.No_access
+  with
+  | Error e -> Error e (* the object stays live; caller may retry *)
+  | Ok () ->
+    complete_free t obj ~site user;
+    Ok obj
 
 let free t ?site user =
-  Syscalls.ok_or_raise ~name:"Shadow_heap.free" (try_free t ?site user)
+  ignore
+    (Syscalls.ok_or_raise ~name:"Shadow_heap.free" (try_free t ?site user)
+      : Object_registry.obj)
 
 (* Epoch-mode free: validate and mark the object freed now (so a
    double free in the quarantine window still trips the registry
@@ -154,22 +157,20 @@ let free t ?site user =
    caller must eventually protect the shadow range and then call
    [release_canonical]. *)
 let free_deferred t ?(site = "<unknown>") user =
-  with_violation_trace t (fun () ->
-      let obj = find_free_target t user in
-      Object_registry.mark_freed t.registry obj ~free_site:site;
-      Stats.count_free_op t.machine.Machine.stats;
-      trace_free t site user;
-      obj)
+  let obj = find_free_target t user in
+  Object_registry.mark_freed t.registry obj ~free_site:site;
+  Stats.count_free_op t.machine.Machine.stats;
+  trace_free t site user;
+  obj
 
 let release_canonical t (obj : Object_registry.obj) =
   t.allocator.dealloc obj.Object_registry.canonical
 
 let free_unprotected t ?(site = "<unknown>") user =
-  with_violation_trace t (fun () ->
-      let obj = find_free_target t user in
-      complete_free t obj ~site user;
-      t.unprotected_frees <- t.unprotected_frees + 1;
-      obj)
+  let obj = find_free_target t user in
+  complete_free t obj ~site user;
+  t.unprotected_frees <- t.unprotected_frees + 1;
+  obj
 
 let registry t = t.registry
 let machine t = t.machine

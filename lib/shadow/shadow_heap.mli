@@ -64,11 +64,16 @@ val free : t -> ?site:string -> Vmm.Addr.t -> unit
     fails under an armed fault plan. *)
 
 val try_free :
-  t -> ?site:string -> Vmm.Addr.t -> (unit, Vmm.Fault_plan.error) result
+  t ->
+  ?site:string ->
+  Vmm.Addr.t ->
+  (Object_registry.obj, Vmm.Fault_plan.error) result
 (** Like {!free} but the protecting [mprotect] goes through the typed
     boundary: on [Error] the object is {e still live} (nothing freed),
     so the caller can retry or fall back to {!free_unprotected}.
-    Violations still raise. *)
+    Violations still raise.  [Ok] carries the freed object's record —
+    the lookup free-argument validation made — for callers that keep
+    their own per-object bookkeeping. *)
 
 val free_deferred : t -> ?site:string -> Vmm.Addr.t -> Object_registry.obj
 (** Epoch-mode free: full free-argument validation (double/invalid

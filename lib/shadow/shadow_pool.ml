@@ -1,8 +1,55 @@
 open Vmm
 
-type range_state =
-  | Rs_live
-  | Rs_freed
+(* The pool's shadow ranges, keyed by base page: one int per range, the
+   page count shifted left once, with the low bit set once the range's
+   object is freed.  0 is the vacant slot (a range spans at least one
+   page). *)
+type ranges = {
+  by_base : int Page_map.t;
+  mutable held_pages : int; (* pages over every range *)
+  mutable freed_pages : int; (* pages over the freed ranges *)
+}
+
+let range_entry ~pages ~freed = (pages lsl 1) lor Bool.to_int freed
+let range_pages e = e lsr 1
+let range_freed e = e land 1 = 1
+
+(* Install or overwrite the range at [base], keeping [freed_pages] the
+   sum over the freed entries.  [held_pages] is the callers' to keep. *)
+let set_range r base ~pages ~freed =
+  let page = Addr.page_index base in
+  let old = Page_map.find r.by_base page in
+  if range_freed old then r.freed_pages <- r.freed_pages - range_pages old;
+  if freed then r.freed_pages <- r.freed_pages + pages;
+  Page_map.set r.by_base page (range_entry ~pages ~freed)
+
+let remove_range r base =
+  let page = Addr.page_index base in
+  let old = Page_map.find r.by_base page in
+  if range_freed old then r.freed_pages <- r.freed_pages - range_pages old;
+  Page_map.remove r.by_base page
+
+(* Fuse the ranges into maximal runs exactly as
+   [Syscalls.coalesce_ranges] would (overlapping or adjacent ranges
+   join) and pass each run to [f] in ascending order.  The table is
+   already sorted, so this is one walk with no list built. *)
+let iter_runs r f =
+  let run_base = ref 0 and run_limit = ref (-1) in
+  let flush () =
+    if !run_limit >= 0 then
+      f ~base:!run_base ~pages:((!run_limit - !run_base) / Addr.page_size)
+  in
+  Page_map.iter r.by_base (fun page e ->
+      let base = Addr.of_page page in
+      let limit = Addr.of_page (page + range_pages e) in
+      if !run_limit >= 0 && base <= !run_limit then
+        run_limit := max !run_limit limit
+      else begin
+        flush ();
+        run_base := base;
+        run_limit := limit
+      end);
+  flush ()
 
 type t = {
   machine : Machine.t;
@@ -11,9 +58,9 @@ type t = {
   heap : Shadow_heap.t;
   recycler : Apa.Page_recycler.t option;
   slab : Slab.t option;
-  shadow_ranges : (Addr.t, int * range_state) Hashtbl.t; (* base -> pages, state *)
-  shadow_pages : int ref; (* total pages over [shadow_ranges] *)
-  elided_live : (Addr.t, int) Hashtbl.t; (* addr -> size, statically-safe blocks *)
+  ranges : ranges;
+  mutable elided_live : (Addr.t, int) Hashtbl.t option;
+      (* addr -> size, statically-safe blocks; built on first use *)
   unmap : addr:Addr.t -> pages:int -> (unit, Fault_plan.error) result;
   mutable after_free_hook : (unit -> unit) option;
   mutable in_after_free_hook : bool;
@@ -28,8 +75,9 @@ let create ?(arena_pages = 16) ?elem_size ?(reuse_shadow_va = true) ?recycler
     | None -> Apa.Pool.Unmap
   in
   let pool = Apa.Pool.create ~arena_pages ?elem_size ~reclaim machine in
-  let shadow_ranges = Hashtbl.create 64 in
-  let shadow_pages = ref 0 in
+  let ranges =
+    { by_base = Page_map.create ~empty:0; held_pages = 0; freed_pages = 0 }
+  in
   let shadow_placer pages =
     match recycler with
     | Some r when reuse_shadow_va -> Apa.Page_recycler.take r ~pages
@@ -41,8 +89,8 @@ let create ?(arena_pages = 16) ?elem_size ?(reuse_shadow_va = true) ?recycler
     | Some _ | None -> ()
   in
   let on_shadow_range ~base ~pages =
-    Hashtbl.replace shadow_ranges base (pages, Rs_live);
-    shadow_pages := !shadow_pages + pages
+    set_range ranges base ~pages ~freed:false;
+    ranges.held_pages <- ranges.held_pages + pages
   in
   let shadow_alias =
     Option.map (fun s ~src ~pages -> Slab.take s ~src ~pages) slab
@@ -65,9 +113,8 @@ let create ?(arena_pages = 16) ?elem_size ?(reuse_shadow_va = true) ?recycler
     heap;
     recycler;
     slab;
-    shadow_ranges;
-    shadow_pages;
-    elided_live = Hashtbl.create 64;
+    ranges;
+    elided_live = None;
     unmap;
     after_free_hook = None;
     in_after_free_hook = false;
@@ -86,7 +133,11 @@ let run_after_free_hook t =
   match t.after_free_hook with
   | Some f when not t.in_after_free_hook ->
     t.in_after_free_hook <- true;
-    Fun.protect ~finally:(fun () -> t.in_after_free_hook <- false) f
+    (match f () with
+     | () -> t.in_after_free_hook <- false
+     | exception e ->
+       t.in_after_free_hook <- false;
+       raise e)
   | Some _ | None -> ()
 
 let alloc t ?site size =
@@ -98,27 +149,22 @@ let try_alloc t ?site size =
   Shadow_heap.try_malloc t.heap ?site size
 
 let mark_range_freed t (o : Object_registry.obj) =
-  Hashtbl.replace t.shadow_ranges o.Object_registry.shadow_base
-    (o.Object_registry.pages, Rs_freed)
-
-let free t ?site user =
-  check_usable t "free";
-  (* Look the object up first so we can flip its range state after the
-     underlying free protects it. *)
-  let obj = Object_registry.find_by_addr t.registry user in
-  Shadow_heap.free t.heap ?site user;
-  (match obj with Some o -> mark_range_freed t o | None -> ());
-  run_after_free_hook t
+  set_range t.ranges o.Object_registry.shadow_base
+    ~pages:o.Object_registry.pages ~freed:true
 
 let try_free t ?site user =
   check_usable t "free";
-  let obj = Object_registry.find_by_addr t.registry user in
   match Shadow_heap.try_free t.heap ?site user with
   | Error _ as e -> e
-  | Ok () ->
-    (match obj with Some o -> mark_range_freed t o | None -> ());
+  | Ok obj ->
+    mark_range_freed t obj;
     run_after_free_hook t;
     Ok ()
+
+(* A failed protect is reported as [Shadow_heap.free], the primitive
+   underneath. *)
+let free t ?site user =
+  Syscalls.ok_or_raise ~name:"Shadow_heap.free" (try_free t ?site user)
 
 let free_unprotected t ?site user =
   check_usable t "free";
@@ -128,14 +174,14 @@ let free_unprotected t ?site user =
   obj
 
 (* Epoch-mode free: validate + mark now, defer protection and canonical
-   reuse.  The range is NOT marked Rs_freed yet — [reclaim_freed_shadow]
+   reuse.  The range is NOT marked freed yet — [reclaim_freed_shadow]
    must not recycle a quarantined range out from under its epoch. *)
 let free_deferred t ?site user =
   check_usable t "free";
   Shadow_heap.free_deferred t.heap ?site user
 
 (* The release half an epoch runs at retirement, once the range is
-   protected: canonical block back to the pool, range into the Rs_freed
+   protected: canonical block back to the pool, range into the freed
    set the reuse policy may reclaim. *)
 let retire_object t (obj : Object_registry.obj) =
   Shadow_heap.release_canonical t.heap obj;
@@ -167,19 +213,27 @@ let dealloc_raw t addr =
 let alloc_elided t size =
   check_usable t "alloc";
   let addr = Apa.Pool.alloc t.pool size in
-  Hashtbl.replace t.elided_live addr size;
+  let live =
+    match t.elided_live with
+    | Some live -> live
+    | None ->
+      let live = Hashtbl.create 64 in
+      t.elided_live <- Some live;
+      live
+  in
+  Hashtbl.replace live addr size;
   Stats.count_alloc_op t.machine.Machine.stats;
   addr
 
 let free_elided t addr =
   check_usable t "free";
-  match Hashtbl.find_opt t.elided_live addr with
-  | Some _ ->
-    Hashtbl.remove t.elided_live addr;
+  match t.elided_live with
+  | Some live when Hashtbl.mem live addr ->
+    Hashtbl.remove live addr;
     Apa.Pool.dealloc t.pool addr;
     Stats.count_free_op t.machine.Machine.stats;
     true
-  | None -> false
+  | Some _ | None -> false
 
 
 let size_of t user = Shadow_heap.size_of t.heap user
@@ -196,37 +250,26 @@ let destroy t =
      is terminal, so an unmap failure only leaks the run's pages (kept
      mapped, never reused — the registry entries are dropped either
      way). *)
-  let ranges =
-    Hashtbl.fold
-      (fun base (pages, _state) acc -> (base, pages) :: acc)
-      t.shadow_ranges []
-    |> List.sort compare
+  let release =
+    match t.recycler with
+    | Some r -> fun ~base ~pages -> Apa.Page_recycler.put r ~base ~pages
+    | None -> fun ~base ~pages -> ignore (t.unmap ~addr:base ~pages)
   in
-  (match t.recycler with
-   | Some r ->
-     List.iter
-       (fun (base, pages) -> Apa.Page_recycler.put r ~base ~pages)
-       (Syscalls.coalesce_ranges ranges)
-   | None ->
-     List.iter
-       (fun (base, pages) -> ignore (t.unmap ~addr:base ~pages))
-       (Syscalls.coalesce_ranges ranges));
-  List.iter
-    (fun (base, pages) -> Object_registry.forget_range t.registry ~base ~pages)
-    ranges;
-  Hashtbl.reset t.shadow_ranges;
-  t.shadow_pages := 0;
-  Hashtbl.reset t.elided_live;
+  iter_runs t.ranges release;
+  Page_map.iter t.ranges.by_base (fun page e ->
+      Object_registry.forget_range t.registry ~base:(Addr.of_page page)
+        ~pages:(range_pages e));
+  Page_map.reset t.ranges.by_base;
+  t.ranges.held_pages <- 0;
+  t.ranges.freed_pages <- 0;
+  t.elided_live <- None;
   Apa.Pool.destroy t.pool
 
 let freed_ranges t =
-  Hashtbl.fold
-    (fun base (pages, state) acc ->
-      match state with
-      | Rs_freed -> (base, pages) :: acc
-      | Rs_live -> acc)
-    t.shadow_ranges []
-  |> List.sort compare
+  Page_map.fold_right t.ranges.by_base
+    (fun page e acc ->
+      if range_freed e then (Addr.of_page page, range_pages e) :: acc else acc)
+    []
 
 (* Release a chosen subset of the freed ranges, batching the release
    syscalls: the ranges are fused with [Syscalls.coalesce_ranges] first,
@@ -242,9 +285,8 @@ let reclaim_ranges t ranges =
   let eligible =
     List.filter
       (fun (base, pages) ->
-        match Hashtbl.find_opt t.shadow_ranges base with
-        | Some (p, Rs_freed) -> p = pages
-        | Some (_, Rs_live) | None -> false)
+        let e = Page_map.find t.ranges.by_base (Addr.page_index base) in
+        range_freed e && range_pages e = pages)
       ranges
   in
   let merged = Syscalls.coalesce_ranges eligible in
@@ -275,8 +317,8 @@ let reclaim_ranges t ranges =
     (fun acc (base, pages) ->
       if run_released (base, pages) then begin
         Object_registry.forget_range t.registry ~base ~pages;
-        Hashtbl.remove t.shadow_ranges base;
-        t.shadow_pages := !(t.shadow_pages) - pages;
+        remove_range t.ranges base;
+        t.ranges.held_pages <- t.ranges.held_pages - pages;
         acc + pages
       end
       else acc)
@@ -291,12 +333,5 @@ let registry t = t.registry
 let is_destroyed t = t.destroyed
 let live_blocks t = Apa.Pool.live_blocks t.pool
 
-let shadow_pages_live t = !(t.shadow_pages)
-
-let freed_shadow_pages t =
-  Hashtbl.fold
-    (fun _ (pages, state) acc ->
-      match state with
-      | Rs_freed -> acc + pages
-      | Rs_live -> acc)
-    t.shadow_ranges 0
+let shadow_pages_live t = t.ranges.held_pages
+let freed_shadow_pages t = t.ranges.freed_pages

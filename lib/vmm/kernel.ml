@@ -24,12 +24,12 @@ let check_pages name pages =
    every remap, so a cached translation can never outlive its page-table
    entry — the fast path's coherence invariant. *)
 let map_page (m : Machine.t) page frame perm =
-  (match Page_table.lookup m.page_table ~page with
-   | Some old ->
-     ignore (Page_table.unmap m.page_table ~page);
-     Tlb.invalidate_page m.tlb ~page;
-     Frame_table.decr_ref m.frames old.frame
-   | None -> ());
+  let old = Page_table.pte m.page_table ~page in
+  if Pte.is_present old then begin
+    ignore (Page_table.unmap m.page_table ~page);
+    Tlb.invalidate_page m.tlb ~page;
+    Frame_table.decr_ref m.frames (Pte.frame old)
+  end;
   Page_table.map m.page_table m.stats ~page ~frame ~perm;
   Frame_table.incr_ref m.frames frame
 
@@ -55,9 +55,9 @@ let mmap_fixed (m : Machine.t) ~addr ~pages =
   map_fresh_range m addr pages
 
 let frame_of_mapped (m : Machine.t) page =
-  match Page_table.lookup m.page_table ~page with
-  | Some { frame; _ } -> frame
-  | None ->
+  let e = Page_table.pte m.page_table ~page in
+  if Pte.is_present e then Pte.frame e
+  else
     invalid_arg
       (Printf.sprintf "Kernel.mremap: source page %d not mapped" page)
 
@@ -65,10 +65,14 @@ let alias_range (m : Machine.t) ~src ~dst ~pages =
   (* Collect source frames first: if the ranges overlap, remapping the
      destination must not disturb a source page read later. *)
   let src_page = Addr.page_index src in
-  let frames = Array.init pages (fun i -> frame_of_mapped m (src_page + i)) in
-  Array.iteri
-    (fun i frame -> map_page m (Addr.page_index dst + i) frame Perm.Read_write)
-    frames
+  let dst_page = Addr.page_index dst in
+  if pages = 1 then
+    map_page m dst_page (frame_of_mapped m src_page) Perm.Read_write
+  else
+    let frames = Array.init pages (fun i -> frame_of_mapped m (src_page + i)) in
+    Array.iteri
+      (fun i frame -> map_page m (dst_page + i) frame Perm.Read_write)
+      frames
 
 let mremap_alias (m : Machine.t) ~src ~pages =
   check_aligned "mremap_alias" src;

@@ -45,47 +45,65 @@ let einval (m : Machine.t) name : 'a outcome =
   trace_fault m name error;
   Error error
 
-let guard m name thunk =
-  match thunk () with
-  | v -> Ok v
-  | exception Invalid_argument _ -> einval m name
-
+(* Each call below runs its kernel operation inside a
+   [match ... with exception Invalid_argument _], not through a
+   thunk-taking helper, so a successful syscall allocates nothing but
+   its [Ok]. *)
 let mmap m ~pages =
   match inject m Fault_plan.Mmap "mmap" with
   | Some e -> Error e
-  | None -> guard m "mmap" (fun () -> Kernel.mmap m ~pages)
+  | None -> (
+    match Kernel.mmap m ~pages with
+    | v -> Ok v
+    | exception Invalid_argument _ -> einval m "mmap")
 
 let mmap_fixed m ~addr ~pages =
   match inject m Fault_plan.Mmap_fixed "mmap" with
   | Some e -> Error e
-  | None -> guard m "mmap" (fun () -> Kernel.mmap_fixed m ~addr ~pages)
+  | None -> (
+    match Kernel.mmap_fixed m ~addr ~pages with
+    | () -> Ok ()
+    | exception Invalid_argument _ -> einval m "mmap")
 
 let mremap_alias m ~src ~pages =
   match inject m Fault_plan.Mremap "mremap" with
   | Some e -> Error e
-  | None -> guard m "mremap" (fun () -> Kernel.mremap_alias m ~src ~pages)
+  | None -> (
+    match Kernel.mremap_alias m ~src ~pages with
+    | v -> Ok v
+    | exception Invalid_argument _ -> einval m "mremap")
 
 let mremap_alias_slab m ~src ~pages ~copies =
   match inject m Fault_plan.Mremap "mremap_slab" with
   | Some e -> Error e
-  | None ->
-    guard m "mremap_slab" (fun () -> Kernel.mremap_alias_slab m ~src ~pages ~copies)
+  | None -> (
+    match Kernel.mremap_alias_slab m ~src ~pages ~copies with
+    | v -> Ok v
+    | exception Invalid_argument _ -> einval m "mremap_slab")
 
 let mremap_alias_at m ~src ~dst ~pages =
   match inject m Fault_plan.Mremap "mremap" with
   | Some e -> Error e
-  | None ->
-    guard m "mremap" (fun () -> Kernel.mremap_alias_at m ~src ~dst ~pages)
+  | None -> (
+    match Kernel.mremap_alias_at m ~src ~dst ~pages with
+    | () -> Ok ()
+    | exception Invalid_argument _ -> einval m "mremap")
 
 let mprotect m ~addr ~pages perm =
   match inject m Fault_plan.Mprotect "mprotect" with
   | Some e -> Error e
-  | None -> guard m "mprotect" (fun () -> Kernel.mprotect m ~addr ~pages perm)
+  | None -> (
+    match Kernel.mprotect m ~addr ~pages perm with
+    | () -> Ok ()
+    | exception Invalid_argument _ -> einval m "mprotect")
 
 let munmap m ~addr ~pages =
   match inject m Fault_plan.Munmap "munmap" with
   | Some e -> Error e
-  | None -> guard m "munmap" (fun () -> Kernel.munmap m ~addr ~pages)
+  | None -> (
+    match Kernel.munmap m ~addr ~pages with
+    | () -> Ok ()
+    | exception Invalid_argument _ -> einval m "munmap")
 
 let ok_or_raise ~name = function
   | Ok v -> v

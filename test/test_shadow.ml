@@ -537,6 +537,229 @@ let prop_pool_soundness =
         ops;
       !ok)
 
+(* ---- reference model: the hashed side tables the page-indexed
+   table replaced.  [Ref_registry] is the registry as it was, one
+   [Hashtbl] binding per shadow page; [Ref_ranges] is the pool's old
+   base -> (pages, freed) table.  Seeded streams drive the real modules
+   and the models with the same operations and compare every answer
+   after every step. *)
+
+module Ref_registry = struct
+  type obj = { id : int; first : int; pages : int; mutable alive : bool }
+
+  type t = {
+    by_page : (int, obj) Hashtbl.t;
+    mutable next_id : int;
+    mutable live : int;
+    mutable freed : int;
+  }
+
+  let create () =
+    { by_page = Hashtbl.create 16; next_id = 0; live = 0; freed = 0 }
+
+  let register t ~first ~pages =
+    let o = { id = t.next_id; first; pages; alive = true } in
+    t.next_id <- t.next_id + 1;
+    t.live <- t.live + 1;
+    for p = first to first + pages - 1 do
+      Hashtbl.replace t.by_page p o
+    done;
+    o
+
+  let mark_freed t o =
+    if o.alive then begin
+      t.live <- t.live - 1;
+      t.freed <- t.freed + 1
+    end;
+    o.alive <- false
+
+  let forget_range t ~first ~pages =
+    for p = first to first + pages - 1 do
+      match Hashtbl.find_opt t.by_page p with
+      | Some o ->
+        if o.alive then t.live <- t.live - 1 else t.freed <- t.freed - 1;
+        for q = o.first to o.first + o.pages - 1 do
+          Hashtbl.remove t.by_page q
+        done
+      | None -> ()
+    done
+
+  let find t page = Option.map (fun o -> o.id) (Hashtbl.find_opt t.by_page page)
+
+  let live_ids t =
+    Hashtbl.fold
+      (fun p o acc -> if o.alive && p = o.first then o.id :: acc else acc)
+      t.by_page []
+    |> List.sort compare
+end
+
+module Ref_ranges = struct
+  type t = (int, int * bool) Hashtbl.t (* base page -> pages, freed *)
+
+  let freed (t : t) =
+    Hashtbl.fold
+      (fun first (pages, freed) acc ->
+        if freed then (Addr.of_page first, pages) :: acc else acc)
+      t []
+    |> List.sort compare
+
+  let held (t : t) = Hashtbl.fold (fun _ (pages, _) acc -> acc + pages) t 0
+end
+
+let page_id registry page =
+  Option.map
+    (fun (o : Shadow.Object_registry.obj) -> o.Shadow.Object_registry.id)
+    (Shadow.Object_registry.find_by_addr registry (Addr.of_page page + 24))
+
+(* Registry against its model: the same answer for every probed page,
+   [iter_live] visiting each live object once in ascending order, and
+   the same counts. *)
+let check_registry what registry (model : Ref_registry.t) probes =
+  List.iter
+    (fun page ->
+      if page_id registry page <> Ref_registry.find model page then
+        Alcotest.failf "%s: find_by_addr disagrees at page 0x%x" what page)
+    probes;
+  let visited = ref [] in
+  Shadow.Object_registry.iter_live registry (fun o -> visited := o :: !visited);
+  let visited = List.rev !visited in
+  let bases = List.map (fun o -> o.Shadow.Object_registry.shadow_base) visited in
+  if bases <> List.sort_uniq compare bases then
+    Alcotest.failf "%s: iter_live not strictly ascending" what;
+  let ids = List.map (fun o -> o.Shadow.Object_registry.id) visited in
+  Alcotest.(check (list int))
+    (what ^ ": iter_live visits each live object once")
+    (Ref_registry.live_ids model) (List.sort compare ids);
+  check_int (what ^ ": live count") model.Ref_registry.live
+    (Shadow.Object_registry.live_count registry);
+  check_int (what ^ ": freed count") model.Ref_registry.freed
+    (Shadow.Object_registry.freed_retained_count registry)
+
+(* Registry streams over scattered page regions: objects straddling
+   multiples of 256 pages (a chunk boundary whatever the chunk size up
+   to 256), regions far below the first page written (the directory
+   grows downward), overlapping registrations and forgets of arbitrary
+   ranges. *)
+let test_registry_reference_model () =
+  for seed = 1 to 20 do
+    let rng = Random.State.make [| seed |] in
+    let registry = Shadow.Object_registry.create () in
+    let model = Ref_registry.create () in
+    let regions = [| 0x20000; 0x100ff; 0x10000; 0x8000; 0x1f0; 3 |] in
+    let objs = ref [] and probes = ref [] in
+    let pick_first () =
+      regions.(Random.State.int rng (Array.length regions))
+      + Random.State.int rng 600
+    in
+    let pages () =
+      if Random.State.int rng 10 = 0 then 200 + Random.State.int rng 200
+      else 1 + Random.State.int rng 4
+    in
+    for step = 1 to 150 do
+      (match Random.State.int rng 10 with
+       | 0 | 1 | 2 | 3 | 4 ->
+         let first = pick_first () and pages = pages () in
+         let o =
+           Shadow.Object_registry.register registry ~canonical:0
+             ~shadow_base:(Addr.of_page first) ~pages
+             ~user_addr:(Addr.of_page first + 24) ~size:8 ~alloc_site:"ref"
+         in
+         let r = Ref_registry.register model ~first ~pages in
+         objs := (o, r) :: !objs;
+         probes := (first - 1) :: first :: (first + pages - 1) :: (first + pages) :: !probes
+       | 5 | 6 | 7 -> (
+         match !objs with
+         | [] -> ()
+         | l ->
+           let o, r = List.nth l (Random.State.int rng (List.length l)) in
+           Shadow.Object_registry.mark_freed registry o ~free_site:"ref";
+           Ref_registry.mark_freed model r)
+       | _ ->
+         let first = pick_first () and pages = pages () in
+         Shadow.Object_registry.forget_range registry ~base:(Addr.of_page first)
+           ~pages;
+         Ref_registry.forget_range model ~first ~pages);
+      check_registry (Printf.sprintf "seed %d step %d" seed step) registry model
+        !probes
+    done
+  done
+
+(* Pool streams: allocations from one to three pages, frees,
+   [reclaim_ranges] of a random subset (with a stale range mixed in),
+   and destroy followed by a fresh pool on the same registry and
+   recycler, so new shadow ranges land on recycled VA. *)
+let test_pool_reference_model () =
+  for seed = 1 to 20 do
+    let rng = Random.State.make [| seed |] in
+    let m = Machine.create () in
+    let registry = Shadow.Object_registry.create () in
+    let recycler = Apa.Page_recycler.create () in
+    let new_pool () = Shadow.Shadow_pool.create ~recycler ~registry m in
+    let pool = ref (new_pool ()) in
+    let model = Ref_registry.create () in
+    let ranges : Ref_ranges.t = Hashtbl.create 16 in
+    let live = ref [] and probes = ref [] in
+    let check step =
+      let what = Printf.sprintf "seed %d step %d" seed step in
+      check_registry what registry model !probes;
+      let freed = Shadow.Shadow_pool.freed_ranges !pool in
+      Alcotest.(check (list (pair int int)))
+        (what ^ ": freed_ranges") (Ref_ranges.freed ranges) freed;
+      check_int (what ^ ": freed_shadow_pages is the sum over freed_ranges")
+        (List.fold_left (fun acc (_, p) -> acc + p) 0 freed)
+        (Shadow.Shadow_pool.freed_shadow_pages !pool);
+      check_int (what ^ ": shadow_pages_live") (Ref_ranges.held ranges)
+        (Shadow.Shadow_pool.shadow_pages_live !pool)
+    in
+    for step = 1 to 200 do
+      (match Random.State.int rng 12 with
+       | 0 | 1 | 2 | 3 | 4 ->
+         let size = 8 + Random.State.int rng (3 * Addr.page_size) in
+         let a = Shadow.Shadow_pool.alloc !pool ~site:"ref" size in
+         let o = Option.get (Shadow.Object_registry.find_by_addr registry a) in
+         let first = Addr.page_index o.Shadow.Object_registry.shadow_base in
+         let pages = o.Shadow.Object_registry.pages in
+         let r = Ref_registry.register model ~first ~pages in
+         Hashtbl.replace ranges first (pages, false);
+         live := (a, r) :: !live;
+         probes := (first - 1) :: first :: (first + pages - 1) :: (first + pages) :: !probes
+       | 5 | 6 | 7 -> (
+         match !live with
+         | [] -> ()
+         | l ->
+           let ((a, r) as victim) = List.nth l (Random.State.int rng (List.length l)) in
+           Shadow.Shadow_pool.free !pool a;
+           Ref_registry.mark_freed model r;
+           Hashtbl.replace ranges r.Ref_registry.first (r.Ref_registry.pages, true);
+           live := List.filter (fun x -> x != victim) l)
+       | 8 | 9 | 10 ->
+         let chosen =
+           List.filter (fun _ -> Random.State.bool rng)
+             (Shadow.Shadow_pool.freed_ranges !pool)
+         in
+         let stale = (Addr.of_page 0x7000, 1) in
+         let released = Shadow.Shadow_pool.reclaim_ranges !pool (stale :: chosen) in
+         List.iter
+           (fun (base, pages) ->
+             let first = Addr.page_index base in
+             Ref_registry.forget_range model ~first ~pages;
+             Hashtbl.remove ranges first)
+           chosen;
+         check_int "reclaim_ranges releases every chosen range"
+           (List.fold_left (fun acc (_, p) -> acc + p) 0 chosen)
+           released
+       | _ ->
+         Shadow.Shadow_pool.destroy !pool;
+         Hashtbl.iter
+           (fun first (pages, _) -> Ref_registry.forget_range model ~first ~pages)
+           ranges;
+         Hashtbl.reset ranges;
+         live := [];
+         pool := new_pool ());
+      check step
+    done
+  done
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -593,6 +816,13 @@ let () =
             test_conservative_gc_policy;
           Alcotest.test_case "manual" `Quick test_manual_policy_never_reclaims;
           Alcotest.test_case "exhaustion model" `Quick test_exhaustion_model;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "registry vs hashed model" `Quick
+            test_registry_reference_model;
+          Alcotest.test_case "pool ranges vs hashed model" `Quick
+            test_pool_reference_model;
         ] );
       ( "properties",
         qcheck [ prop_soundness_and_precision; prop_pool_soundness ] );

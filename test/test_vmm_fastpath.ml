@@ -663,6 +663,39 @@ let test_connection_word_budget () =
                     heap (budget 2048)"
       direct_major
 
+(* Shadow bookkeeping budgets, the same as bench/validate_results.exe's:
+   a warm [pool_alloc] + [pool_free] under [ours] (mean over 256 pairs,
+   measured 54 words) and [pool_destroy] per object (measured 0), each
+   with 25% and at least 2 words of headroom. *)
+let warm_ours_pool () =
+  let s = Runtime.Scheme_spec.build Runtime.Scheme_spec.ours (Machine.create ()) in
+  let p = s.Runtime.Scheme.pool_create () in
+  p.Runtime.Scheme.pool_free (p.Runtime.Scheme.pool_alloc ~site:"test" 64);
+  p
+
+let test_shadow_alloc_free_word_budget () =
+  let p = warm_ours_pool () in
+  let n = 256 in
+  let words =
+    minor_words_net (fun () ->
+        for _ = 1 to n do
+          p.Runtime.Scheme.pool_free (p.Runtime.Scheme.pool_alloc ~site:"test" 64)
+        done)
+    /. float_of_int n
+  in
+  if words > 68. then
+    Alcotest.failf "warm pool_alloc + pool_free allocated %.1f words (budget 68)"
+      words
+
+let test_pool_destroy_word_budget () =
+  let p = warm_ours_pool () in
+  let n = 256 in
+  let objs = Array.init n (fun _ -> p.Runtime.Scheme.pool_alloc ~site:"test" 64) in
+  Array.iteri (fun i a -> if i land 1 = 0 then p.Runtime.Scheme.pool_free a) objs;
+  let words = minor_words_net p.Runtime.Scheme.pool_destroy /. float_of_int (n + 1) in
+  if words > 2. then
+    Alcotest.failf "pool_destroy allocated %.1f words per object (budget 2)" words
+
 (* ---- Reference models: the set-of-records LRU cache and TLB these
    modules used before their sets became flat or lazily built.  The
    real modules must make the same hit/miss decision and evict the
@@ -884,6 +917,10 @@ let () =
             test_ours_access_path_allocation_free;
           Alcotest.test_case "ghttpd connection budget" `Quick
             test_connection_word_budget;
+          Alcotest.test_case "shadow alloc+free budget" `Quick
+            test_shadow_alloc_free_word_budget;
+          Alcotest.test_case "pool destroy budget" `Quick
+            test_pool_destroy_word_budget;
         ] );
       ( "reference-models",
         [
