@@ -72,6 +72,10 @@ lint-smoke:
 	  { [ $$rc -eq 0 ] || [ $$rc -eq 3 ]; } || exit 1; \
 	  diff -u examples/lint/$$f.expected.json /tmp/lint.$$f.json || exit 1; \
 	done
+	@printf 'struct s { int v; }\nvoid main() { struct s *p = null; print(p->v); }\n' \
+	  > /tmp/lint.null_deref.mc
+	@rc=0; dune exec bin/danguard.exe -- compile --run /tmp/lint.null_deref.mc \
+	  || rc=$$?; { [ $$rc -ne 0 ] && [ $$rc -ne 125 ]; } || exit 1
 	@echo "lint-smoke: OK"
 
 # Pool-inference CLI smoke: the human pool map renders, the SARIF

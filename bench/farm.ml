@@ -19,7 +19,7 @@ let run ~smoke () =
     List.map
       (fun shards ->
         F.run_server ~policy:Scheduler.Round_robin ~seed ~probe_every
-          ~config:Harness.Experiment.ours ~shards ~connections
+          ~config:Runtime.Scheme_spec.ours ~shards ~connections
           Workload.Servers.ghttpd)
       shard_counts
   in
@@ -64,7 +64,7 @@ let run ~smoke () =
       (fun shards ->
         let r =
           F.run_server ~policy:Scheduler.Round_robin ~seed ~probe_every
-            ~config:Harness.Experiment.ours_epoch ~shards ~connections
+            ~config:Runtime.Scheme_spec.ours_epoch ~shards ~connections
             Workload.Servers.ghttpd
         in
         Printf.printf "  %-7d %14.0f %12.3f %8s %11d %9d %12.0f\n" r.F.shards

@@ -43,7 +43,7 @@ let run ~smoke () =
             ( policy,
               shards,
               F.run_server ~policy ~seed ~probe_every ~probe_sites
-                ~recover:true ~config:Harness.Experiment.ours ~shards
+                ~recover:true ~config:Runtime.Scheme_spec.ours ~shards
                 ~connections Workload.Servers.ghttpd ))
           shard_counts)
       [ Scheduler.Round_robin; Scheduler.Work_steal ]

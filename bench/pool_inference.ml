@@ -234,7 +234,7 @@ let run () =
       (fun (name, source) ->
         let program = Minic.Parser.parse source in
         let result = Minic.Poolify.analyze program in
-        let transformed, _ = Minic.Poolify.transform program in
+        let transformed, _ = Minic.Pool_transform.transform program in
         let inferred = run_under transformed in
         let global = run_under program in
         let outputs_equal = inferred.prints = global.prints in
@@ -287,7 +287,7 @@ let run () =
     List.map
       (fun (name, source) ->
         let program = Minic.Parser.parse source in
-        let transformed, _ = Minic.Poolify.transform program in
+        let transformed, _ = Minic.Pool_transform.transform program in
         let inferred = run_under transformed in
         let global = run_under program in
         let detected = inferred.violations <> [] in

@@ -205,8 +205,8 @@ let run ~smoke () =
       Harness.Experiment.run_server ~connections:(if smoke then 8 else 24)
         Workload.Servers.ghttpd config
     in
-    let shadow = run Harness.Experiment.ours in
-    let tagged = run Harness.Experiment.tagged in
+    let shadow = run Runtime.Scheme_spec.ours in
+    let tagged = run Runtime.Scheme_spec.tagged in
     Printf.printf
       "  ghttpd shadow: %6d VA bytes/conn | tagged: %6d VA bytes/conn\n"
       shadow.Runtime.Process.max_va_bytes_per_connection
@@ -250,7 +250,7 @@ let run ~smoke () =
       (fun shards ->
         let r =
           F.run_server ~policy:Scheduler.Round_robin ~seed ~probe_every
-            ~config:Harness.Experiment.tagged ~shards
+            ~config:Runtime.Scheme_spec.tagged ~shards
             ~connections:(if smoke then 32 else 96)
             Workload.Servers.ghttpd
         in

@@ -45,7 +45,7 @@ let config_arg =
   in
   Arg.(
     value
-    & opt scheme_conv Harness.Experiment.ours
+    & opt scheme_conv Runtime.Scheme_spec.ours
     & info [ "s"; "scheme" ] ~docv:"SCHEME" ~doc)
 
 let scale_divisor_arg =
@@ -349,19 +349,25 @@ let compile_cmd =
            print_endline "";
            print_endline (Minic.Pretty.program_to_string transformed)
          end;
-         if execute then begin
+         if not execute then `Ok ()
+         else begin
            let scheme = Harness.Experiment.make_scheme config () in
            match Minic.Interp.run transformed scheme with
            | outcome ->
              List.iter (Printf.printf "print: %d\n") outcome.Minic.Interp.prints;
              Printf.printf "steps: %d, cycles: %sM\n" outcome.Minic.Interp.steps
                (Harness.Table.fmt_cycles
-                  (Runtime.Scheme.cycles scheme))
+                  (Runtime.Scheme.cycles scheme));
+             `Ok ()
            | exception Shadow.Report.Violation r ->
              Printf.printf "TEMPORAL ERROR DETECTED: %s\n"
-               (Shadow.Report.to_string r)
-         end;
-         `Ok ())
+               (Shadow.Report.to_string r);
+             `Ok ()
+           | exception Minic.Interp.Null_dereference msg ->
+             `Error (false, Printf.sprintf "%s: null dereference in %s" file msg)
+           | exception Minic.Interp.Runtime_error msg ->
+             `Error (false, Printf.sprintf "%s: runtime error: %s" file msg)
+         end)
   in
   cmd "compile" ~doc:"Parse, pool-transform and optionally run a MiniC program."
     Term.(ret (const run $ file $ emit $ execute $ config_arg))

@@ -27,7 +27,7 @@ let () =
     let r = Harness.Experiment.run_batch ~scale batch config in
     (r.Harness.Experiment.cycles, r.Harness.Experiment.stats)
   in
-  let base_cycles, _ = measure Harness.Experiment.llvm_base in
+  let base_cycles, _ = measure Runtime.Scheme_spec.llvm_base in
   List.iter
     (fun config ->
       let cycles, stats = measure config in
@@ -39,13 +39,13 @@ let () =
         (Vmm.Stats.total_syscalls stats)
         stats.Vmm.Stats.tlb_misses)
     [
-      Harness.Experiment.native;
-      Harness.Experiment.llvm_base;
-      Harness.Experiment.pa;
-      Harness.Experiment.pa_dummy;
-      Harness.Experiment.ours;
-      Harness.Experiment.ours_basic;
-      Harness.Experiment.valgrind;
+      Runtime.Scheme_spec.native;
+      Runtime.Scheme_spec.llvm_base;
+      Runtime.Scheme_spec.pa;
+      Runtime.Scheme_spec.pa_dummy;
+      Runtime.Scheme_spec.ours;
+      Runtime.Scheme_spec.ours_basic;
+      Runtime.Scheme_spec.valgrind;
     ];
   print_endline
     "\nreading the decomposition (paper §4.4): the PA+dummy column isolates\n\

@@ -286,7 +286,7 @@ let run ?(policy = Scheduler.Round_robin) ?(seed = 0x5eed) ?(probe_every = 0)
   }
 
 let run_server ?policy ?seed ?probe_every ?probe_sites ?recover ?trace_capacity
-    ?(config = Harness.Experiment.ours) ?connections ~shards
+    ?(config = Runtime.Scheme_spec.ours) ?connections ~shards
     (server : Workload.Spec.server) =
   let connections =
     Option.value connections ~default:server.Workload.Spec.s_default_connections

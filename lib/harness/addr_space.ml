@@ -21,7 +21,7 @@ let measure ?connections (server : Workload.Spec.server) =
   let recycled = ref 0 in
   let max_va = ref 0 in
   for i = 0 to connections - 1 do
-    let scheme = Experiment.make_scheme Experiment.ours () in
+    let scheme = Experiment.make_scheme Runtime.Scheme_spec.ours () in
     server.Workload.Spec.handler i scheme;
     (match Runtime.Schemes.introspect scheme with
      | Runtime.Schemes.Shadow_pool { global; recycler; _ } ->

@@ -5,14 +5,8 @@ type cell = {
 }
 
 let configs =
-  [
-    Experiment.native;
-    Experiment.ours;
-    Experiment.ours_basic;
-    Experiment.efence;
-    Experiment.valgrind;
-    Experiment.capability;
-  ]
+  Runtime.Scheme_spec.
+    [ native; ours; ours_basic; efence; valgrind; capability ]
 
 let run () =
   List.concat_map
@@ -29,10 +23,7 @@ let run () =
     configs
 
 let spatial_configs =
-  [
-    Experiment.native; Experiment.ours; Experiment.ours_bounds;
-    Experiment.efence; Experiment.valgrind;
-  ]
+  Runtime.Scheme_spec.[ native; ours; ours_bounds; efence; valgrind ]
 
 let run_spatial () =
   List.concat_map

@@ -10,21 +10,6 @@ type result = {
 
 let config_label = Runtime.Scheme_spec.label
 
-(* Re-exported shortcuts so harness/bench call sites read
-   [Experiment.ours] without reaching into [Runtime.Scheme_spec]. *)
-let native = Runtime.Scheme_spec.native
-let llvm_base = Runtime.Scheme_spec.llvm_base
-let pa = Runtime.Scheme_spec.pa
-let pa_dummy = Runtime.Scheme_spec.pa_dummy
-let ours = Runtime.Scheme_spec.ours
-let ours_basic = Runtime.Scheme_spec.ours_basic
-let ours_bounds = Runtime.Scheme_spec.ours_bounds
-let ours_epoch = Runtime.Scheme_spec.ours_epoch
-let tagged = Runtime.Scheme_spec.tagged
-let efence = Runtime.Scheme_spec.efence
-let valgrind = Runtime.Scheme_spec.valgrind
-let capability = Runtime.Scheme_spec.capability
-
 (* The paper tables' columns, in column order.  The epoch/static/
    inferred/tagged variants are measured by their dedicated bench
    sections, not the original tables. *)

@@ -20,21 +20,6 @@ type result = {
 val config_label : config -> string
 (** {!Runtime.Scheme_spec.label}: the paper-table column label. *)
 
-(** Re-exported {!Runtime.Scheme_spec} shortcuts (default configs). *)
-
-val native : config
-val llvm_base : config
-val pa : config
-val pa_dummy : config
-val ours : config
-val ours_basic : config
-val ours_bounds : config
-val ours_epoch : config
-val tagged : config
-val efence : config
-val valgrind : config
-val capability : config
-
 val all_configs : config list
 (** The original tables' columns in column order: native, llvm-base,
     pa, pa+dummy, ours, ours (no pools), ours+bounds, and the three

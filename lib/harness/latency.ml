@@ -61,12 +61,12 @@ let measure ?(connections = 120) config =
 let study ?connections () =
   List.map
     (fun config -> measure ?connections config)
-    [ Experiment.native; Experiment.llvm_base; Experiment.ours ]
+    Runtime.Scheme_spec.[ native; llvm_base; ours ]
 
 let render dists =
   let base =
     match
-      List.find_opt (fun d -> d.config = Experiment.llvm_base) dists
+      List.find_opt (fun d -> d.config = Runtime.Scheme_spec.llvm_base) dists
     with
     | Some d -> d
     | None -> List.hd dists

@@ -11,9 +11,9 @@ let row ?scale (batch : Workload.Spec.batch) =
   let cycles config =
     (Experiment.run_batch ?scale batch config).Experiment.cycles
   in
-  let base = cycles Experiment.llvm_base in
-  let ours = cycles Experiment.ours in
-  let valgrind = cycles Experiment.valgrind in
+  let base = cycles Runtime.Scheme_spec.llvm_base in
+  let ours = cycles Runtime.Scheme_spec.ours in
+  let valgrind = cycles Runtime.Scheme_spec.valgrind in
   {
     name = batch.Workload.Spec.name;
     ours_cycles = ours;

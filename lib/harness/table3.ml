@@ -12,10 +12,10 @@ let row ?scale (batch : Workload.Spec.batch) =
   let cycles config =
     (Experiment.run_batch ?scale batch config).Experiment.cycles
   in
-  let native = cycles Experiment.native in
-  let llvm_base = cycles Experiment.llvm_base in
-  let pa_dummy = cycles Experiment.pa_dummy in
-  let ours = cycles Experiment.ours in
+  let native = cycles Runtime.Scheme_spec.native in
+  let llvm_base = cycles Runtime.Scheme_spec.llvm_base in
+  let pa_dummy = cycles Runtime.Scheme_spec.pa_dummy in
+  let ours = cycles Runtime.Scheme_spec.ours in
   {
     name = batch.Workload.Spec.name;
     native;

@@ -9,9 +9,10 @@
      the class may have been freed, values loaded from the heap (whose
      identity we do not track) conservatively inherit MaybeFreed.
 
-   Aliasing comes from the Steensgaard classes: a [free e] weakens every
-   variable of the same object class unless its abstract value is
-   provably a different object (distinct allocation sites, or null).
+   Aliasing comes from the field-sensitive {!Dsa} classes: a [free e]
+   weakens every variable of the same object class unless its abstract
+   value is provably a different object (distinct allocation sites, or
+   null).
    Interprocedural flow is summary-based and context-insensitive: each
    function gets (a) the join of class states and argument states over
    all call sites as its entry, (b) a transitive may-free class set
@@ -59,7 +60,7 @@ type finding = {
 }
 
 type site = {
-  ordinal : int;        (* Points_to.iter_malloc_sites numbering *)
+  ordinal : int;        (* Dsa.iter_malloc_sites numbering *)
   fname : string;
   struct_name : string;
   pos : Ast.pos;
@@ -142,7 +143,7 @@ type summary = {
 
 type ctx = {
   program : Ast.program;
-  pt : Pt_query.t;
+  pt : Dsa.t;
   nclasses : int;
   heap : C.t;
   site_of_pos : (Ast.pos, int) Hashtbl.t;
@@ -191,8 +192,8 @@ let obj_class ctx ~fname e =
   | Ast.Malloc_array (_, _, p)
   | Ast.Pool_malloc (_, _, p)
   | Ast.Pool_malloc_array (_, _, _, p) ->
-    Option.map ctx.pt.Pt_query.site_class (Hashtbl.find_opt ctx.site_of_pos p)
-  | e -> ctx.pt.Pt_query.expr_pointee_class ~fname e
+    Option.map (Dsa.site_class ctx.pt) (Hashtbl.find_opt ctx.site_of_pos p)
+  | e -> Dsa.expr_pointee_class ctx.pt ~fname e
 
 (* Status of a pointer value we do not track by identity (heap loads,
    globals, unknown call results): alive unless its object class may
@@ -245,9 +246,9 @@ let apply_may_free ctx ~fname st freed_classes =
         (fun x v ->
           if v.value = Vnull then v
           else
-            match ctx.pt.Pt_query.var_class ~fname x with
+            match Dsa.var_class ctx.pt ~fname x with
             | Some vc ->
-              (match ctx.pt.Pt_query.pointee vc with
+              (match Dsa.pointee ctx.pt vc with
                | Some oc when C.mem oc freed_classes ->
                  { v with freed = weaken v.freed }
                | _ -> v)
@@ -271,14 +272,14 @@ let rec eval ctx fc st e : vinfo * astate =
              error); any sound default works. *)
           vinfo_of_class ctx st
             (Option.bind
-               (ctx.pt.Pt_query.var_class ~fname:fc.fname x)
-               ctx.pt.Pt_query.pointee)
+               (Dsa.var_class ctx.pt ~fname:fc.fname x)
+               (Dsa.pointee ctx.pt))
       else
         (* Global: identity not tracked, fall back to its class. *)
         vinfo_of_class ctx st
           (Option.bind
-             (ctx.pt.Pt_query.var_class ~fname:fc.fname x)
-             ctx.pt.Pt_query.pointee)
+             (Dsa.var_class ctx.pt ~fname:fc.fname x)
+             (Dsa.pointee ctx.pt))
     in
     (v, st)
   | Ast.Binop (_, a, b) ->
@@ -360,7 +361,7 @@ let rec eval ctx fc st e : vinfo * astate =
          | Some rv -> rv
          | None ->
            vinfo_of_class ctx st
-             (Option.bind (ctx.pt.Pt_query.ret_class g) ctx.pt.Pt_query.pointee))
+             (Option.bind (Dsa.ret_class ctx.pt g) (Dsa.pointee ctx.pt)))
       | None -> vinfo_top
     in
     (ret, st)
@@ -418,8 +419,8 @@ let exec_free ctx fc st ~pos e =
         | Some c
           when (match
                   Option.bind
-                    (ctx.pt.Pt_query.var_class ~fname:fc.fname x)
-                    ctx.pt.Pt_query.pointee
+                    (Dsa.var_class ctx.pt ~fname:fc.fname x)
+                    (Dsa.pointee ctx.pt)
                 with
                | Some oc -> oc = c
                | None -> false)
@@ -549,22 +550,22 @@ let analyze_func ctx (f : Ast.func) cfg =
 let positions_of_sites program =
   let tbl = Hashtbl.create 64 in
   let rev = Hashtbl.create 64 in
-  Points_to.iter_malloc_sites program (fun ~site ~fname:_ ~struct_name:_ ~pos ->
+  Dsa.iter_malloc_sites program (fun ~site ~fname:_ ~struct_name:_ ~pos ->
       if pos <> Ast.no_pos && not (Hashtbl.mem tbl pos) then begin
         Hashtbl.replace tbl pos site;
         Hashtbl.replace rev site pos
       end);
   (tbl, rev)
 
-let analyze_with (q : Pt_query.t) (program : Ast.program) =
+let analyze_with (pt : Dsa.t) (program : Ast.program) =
   Typecheck.check program;
   let site_of_pos, pos_of_site = positions_of_sites program in
   let ctx =
     {
       program;
-      pt = q;
-      nclasses = q.Pt_query.nclasses;
-      heap = C.of_list q.Pt_query.heap;
+      pt;
+      nclasses = Dsa.class_count pt;
+      heap = C.of_list (Dsa.heap_classes pt);
       site_of_pos;
       summaries = Hashtbl.create 16;
       changed = true;
@@ -619,8 +620,8 @@ let analyze_with (q : Pt_query.t) (program : Ast.program) =
       | _ -> ())
     findings;
   let sites = ref [] in
-  Points_to.iter_malloc_sites program (fun ~site ~fname ~struct_name ~pos ->
-      let c = q.Pt_query.site_class site in
+  Dsa.iter_malloc_sites program (fun ~site ~fname ~struct_name ~pos ->
+      let c = Dsa.site_class pt site in
       let verdict =
         match Hashtbl.find_opt class_verdict c with
         | Some v -> v
@@ -642,19 +643,9 @@ let analyze_with (q : Pt_query.t) (program : Ast.program) =
       |> List.sort compare;
   }
 
-(* Default engine: the field-sensitive DSA partition — strictly finer
-   classes than Steensgaard's, so fewer May-UAF false positives (freeing
-   [p->a] no longer poisons [p->b]) while every soundness argument above
-   carries over unchanged (it only relies on the partition being a sound
-   may-alias over-approximation, which both are). *)
-let analyze ?(engine = `Dsa) (program : Ast.program) =
+let analyze (program : Ast.program) =
   Typecheck.check program;
-  let q =
-    match engine with
-    | `Dsa -> Dsa.query (Dsa.analyze program)
-    | `Steensgaard -> Points_to.query (Points_to.analyze program)
-  in
-  analyze_with q program
+  analyze_with (Dsa.analyze program) program
 
 (* ---- elision policy ---------------------------------------------------- *)
 

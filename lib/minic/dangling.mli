@@ -2,7 +2,7 @@
 
     Every [free], dereference ([Field]/[Index]/[Store]) and double-free
     candidate gets a verdict over the {Alive, MaybeFreed, MustFreed}
-    lattice, with Steensgaard points-to classes providing the aliasing
+    lattice, with field-sensitive {!Dsa} classes providing the aliasing
     and per-site freshness providing the "provably a different object"
     escape hatch.  Function behaviour is summarised (transitive may-free
     class set, joined entry/return states) and the whole program is
@@ -38,7 +38,7 @@ type finding = {
 }
 
 type site = {
-  ordinal : int;        (** {!Points_to.iter_malloc_sites} numbering *)
+  ordinal : int;        (** {!Dsa.iter_malloc_sites} numbering *)
   fname : string;
   struct_name : string;
   pos : Ast.pos;
@@ -54,18 +54,14 @@ type result = {
   class_verdicts : (int * verdict) list;  (** heap classes only *)
 }
 
-val analyze : ?engine:[ `Dsa | `Steensgaard ] -> Ast.program -> result
+val analyze : Ast.program -> result
 (** Runs {!Typecheck.check} first; raises {!Typecheck.Type_error} or
-    {!Ast.Semantic_error} on malformed input.  [engine] selects the
-    aliasing partition: the default [`Dsa] is field-sensitive
-    ({!Dsa}), so freeing [p->a] no longer poisons [p->b];
-    [`Steensgaard] keeps the original collapsed-field classes (kept for
-    differential testing — its verdicts are a sound coarsening of
-    [`Dsa]'s). *)
+    {!Ast.Semantic_error} on malformed input.  The partition is
+    field-sensitive, so freeing [p->a] does not poison [p->b]. *)
 
-val analyze_with : Pt_query.t -> Ast.program -> result
-(** {!analyze} over an explicit partition (must have been computed on
-    this exact program, so the positional site numbering agrees). *)
+val analyze_with : Dsa.t -> Ast.program -> result
+(** {!analyze} over a partition already computed on this exact program
+    (so the positional site numbering agrees). *)
 
 val elide_policy : result -> string -> bool
 (** [elide_policy r site] is [true] iff the runtime allocation-site

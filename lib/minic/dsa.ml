@@ -1,33 +1,33 @@
 (* DSA-lite: a unification-based, field-SENSITIVE points-to analysis in
    the tradition of Lattner & Adve's Data Structure Analysis — the
-   analysis Automatic Pool Allocation is actually built on.
+   analysis Automatic Pool Allocation is actually built on, and the only
+   points-to analysis in MiniC.
 
-   The one structural difference from the Steensgaard pass in
-   {!Points_to}: an object node carries one target edge per field
-   *name* instead of a single collapsed field node, so [p->a] and
+   Steensgaard-style unification over a finite node graph, with one
+   structural refinement: an object node carries one target edge per
+   field *name* instead of a single collapsed field node, so [p->a] and
    [p->b] stay in distinct classes unless the program itself aliases
    them.  This is what removes the "freeing [p->a] poisons [p->b]"
-   false positive in {!Dangling}, and what splits one coarse
-   all-fields pool into several smaller, shorter-lived ones in
-   {!Poolify}.
+   false positive in {!Dangling}, and what gives {!Pool_transform} one
+   pool per field-disjoint data structure instead of one coarse
+   all-fields pool.
 
-   Heap nodes are keyed by allocation site (the shared positional
-   numbering of {!Points_to.iter_malloc_sites}) and live in one global
-   graph, so the allocation-site partition is a single sound global
-   partition — exactly what pool assignment needs.  Function graphs are
-   built per function over qualified variable nodes ("fn::x") and
-   connected at call sites by unifying actuals with formals and the
-   call result with the callee's return node: the callee's summary
-   graph is inlined into the global graph at its call sites.  We keep
-   this call handling context-INsensitive (no per-call-site cloning) on
-   purpose: {!Dangling}'s interprocedural effect summaries (may-free
-   class sets, entry class states) are indexed by global class id, and
-   a cloned callee subgraph would break the callee-class/caller-class
+   Heap nodes are keyed by allocation site (the positional numbering of
+   {!iter_malloc_sites}) and live in one global graph, so the
+   allocation-site partition is a single sound global partition —
+   exactly what pool assignment needs.  Function graphs are built per
+   function over qualified variable nodes ("fn::x") and connected at
+   call sites by unifying actuals with formals and the call result with
+   the callee's return node: the callee's summary graph is inlined into
+   the global graph at its call sites.  We keep this call handling
+   context-INsensitive (no per-call-site cloning) on purpose:
+   {!Dangling}'s interprocedural effect summaries (may-free class sets,
+   entry class states) are indexed by global class id, and a cloned
+   callee subgraph would break the callee-class/caller-class
    correspondence those summaries rely on — a callee freeing its
    argument would free a class no caller maps to.  Unification is
    monotone and order-independent, so one bottom-up pass over the
-   functions reaches the fixpoint; the finite-lattice argument is the
-   same as Steensgaard's. *)
+   functions reaches the fixpoint over a finite lattice. *)
 
 type class_id = int
 
@@ -243,6 +243,51 @@ let freeze b =
     count = !counter;
   }
 
+(* The positional malloc-site numbering shared by the analysis, the
+   transform and every consumer: functions in program order, statements
+   in order, expressions left-to-right — the same walk as [eval] in
+   {!analyze} below. *)
+let iter_malloc_sites (program : Ast.program) visit =
+  let counter = ref 0 in
+  let site fname s p =
+    let site = !counter in
+    incr counter;
+    visit ~site ~fname ~struct_name:s ~pos:p
+  in
+  let rec expr fname = function
+    | Ast.Int _ | Ast.Null | Ast.Var _ -> ()
+    | Ast.Binop (_, a, c) | Ast.Index (a, c, _) ->
+      expr fname a;
+      expr fname c
+    | Ast.Unop (_, a) | Ast.Field (a, _, _) -> expr fname a
+    | Ast.Malloc (s, p) | Ast.Pool_malloc (_, s, p) -> site fname s p
+    | Ast.Malloc_array (s, count, p) | Ast.Pool_malloc_array (_, s, count, p) ->
+      expr fname count;
+      site fname s p
+    | Ast.Call (_, args) -> List.iter (expr fname) args
+  in
+  let rec stmt fname = function
+    | Ast.Decl (_, _, init) -> Option.iter (expr fname) init
+    | Ast.Assign (_, e) | Ast.Print e | Ast.Expr e | Ast.Free (e, _)
+    | Ast.Pool_free (_, e, _)
+    | Ast.Return (Some e) ->
+      expr fname e
+    | Ast.Store (e1, _, e2, _) ->
+      expr fname e1;
+      expr fname e2
+    | Ast.If (cond, t, f) ->
+      expr fname cond;
+      List.iter (stmt fname) t;
+      List.iter (stmt fname) f
+    | Ast.While (cond, body) ->
+      expr fname cond;
+      List.iter (stmt fname) body
+    | Ast.Return None | Ast.Pool_init _ | Ast.Pool_destroy _ -> ()
+  in
+  List.iter
+    (fun (f : Ast.func) -> List.iter (stmt f.name) f.body)
+    program.funcs
+
 let analyze (program : Ast.program) =
   let b =
     {
@@ -263,8 +308,8 @@ let analyze (program : Ast.program) =
     program.Ast.funcs;
   let site_counter = ref 0 in
   (* Evaluate an expression to the node of its pointer value.  The
-     traversal order matches {!Points_to.iter_malloc_sites} exactly so
-     the positional site numbering agrees. *)
+     traversal order matches {!iter_malloc_sites} exactly so the
+     positional site numbering agrees. *)
   let rec eval fname e =
     match e with
     | Ast.Int _ | Ast.Null -> fresh b
@@ -388,18 +433,3 @@ and expr_pointee_class t ~fname = function
     (* Handled positionally by consumers (they know the site). *)
     None
   | e -> Option.bind (expr_value_class t ~fname e) (pointee t)
-
-let query t =
-  {
-    Pt_query.nclasses = class_count t;
-    heap = heap_classes t;
-    site_class = site_class t;
-    var_class = (fun ~fname x -> var_class t ~fname x);
-    ret_class = ret_class t;
-    pointee = pointee t;
-    succ = succ t;
-    struct_hint = struct_hint t;
-    struct_names = struct_names t;
-    expr_value_class = (fun ~fname e -> expr_value_class t ~fname e);
-    expr_pointee_class = (fun ~fname e -> expr_pointee_class t ~fname e);
-  }

@@ -1,14 +1,15 @@
-(** DSA-lite: field-sensitive unification points-to analysis.
+(** DSA-lite: field-sensitive unification points-to analysis, the one
+    points-to analysis behind {!Dangling}, {!Escape},
+    {!Pool_transform} and {!Poolify}.
 
-    Same lattice family as {!Points_to} (Steensgaard unification over a
-    finite node graph, allocation-site-keyed heap nodes, positional
-    site numbering shared with {!Points_to.iter_malloc_sites}) with one
-    structural refinement: object nodes keep one points-to edge {e per
-    field name} instead of a single collapsed field node.  [p->a] and
-    [p->b] therefore land in distinct classes unless the program itself
-    aliases them, which removes the collapsed-field false positives in
-    {!Dangling} and splits coarse all-fields pools into finer ones for
-    {!Poolify}.
+    Steensgaard-style unification over a finite node graph with
+    allocation-site-keyed heap nodes and the positional site numbering
+    of {!iter_malloc_sites}, plus one structural refinement: object
+    nodes keep one points-to edge {e per field name} instead of a
+    single collapsed field node.  [p->a] and [p->b] therefore land in
+    distinct classes unless the program itself aliases them, which
+    keeps {!Dangling} from reporting "freeing [p->a] poisons [p->b]"
+    and gives field-disjoint structures separate pools.
 
     Call sites unify actuals with the callee's formals and the call
     result with the callee's return node — the callee's summary graph
@@ -28,6 +29,16 @@ type class_id = int
 type t
 (** Frozen analysis result. *)
 
+val iter_malloc_sites :
+  Ast.program ->
+  (site:int -> fname:string -> struct_name:string -> pos:Ast.pos -> unit) ->
+  unit
+(** Visit every malloc site in deterministic program order, assigning
+    the site numbering shared between analysis and transform: functions
+    in program order, statements in order, expressions left-to-right.
+    [pos] is the source position the site carries ({!Ast.no_pos} for
+    programmatically built ASTs). *)
+
 val analyze : Ast.program -> t
 (** Build and freeze the points-to partition.  The program should
     already typecheck; behaviour on ill-typed programs is unspecified
@@ -40,7 +51,7 @@ val class_count : t -> int
 
 val site_class : t -> int -> class_id
 (** Class allocated into by the [n]-th malloc site in program order
-    (the {!Points_to.iter_malloc_sites} numbering).
+    (the {!iter_malloc_sites} numbering).
     @raise Invalid_argument on unknown sites. *)
 
 val var_class : t -> fname:string -> string -> class_id option
@@ -49,13 +60,6 @@ val var_class : t -> fname:string -> string -> class_id option
 
 val ret_class : t -> string -> class_id option
 val pointee : t -> class_id -> class_id option
-
-val field_class : t -> class_id -> string -> class_id option
-(** Class of pointer values stored in the named field of this (object)
-    class — per field, unlike {!Points_to.field_class}. *)
-
-val field_names : t -> class_id -> string list
-(** Field names with outgoing edges, sorted. *)
 
 val succ : t -> class_id -> class_id list
 (** All outgoing edges: pointee (if any) then field targets in
@@ -68,9 +72,7 @@ val struct_names : t -> class_id -> string list
     means the class is type-homogeneous (the paper's type-safe-pool
     condition). *)
 
-val expr_value_class : t -> fname:string -> Ast.expr -> class_id option
 val expr_pointee_class : t -> fname:string -> Ast.expr -> class_id option
-
-val query : t -> Pt_query.t
-(** Freeze behind the analysis-agnostic interface shared with
-    {!Points_to.query}. *)
+(** Class of the object a [Var] / [Field] / [Index] / [Call] expression
+    points to; [None] for non-pointers and for [Malloc] expressions,
+    which consumers resolve positionally through the site numbering. *)

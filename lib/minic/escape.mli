@@ -1,23 +1,15 @@
-(** Escape analysis over points-to classes: reachability from a
+(** Escape analysis over {!Dsa} points-to classes: reachability from a
     function's formals, its return value, and the globals — the paper's
     "standard compiler analysis … much simpler, but can be less precise,
     than that required for static detection of dangling pointer
     references".  A pool can be created and destroyed inside a function
-    exactly when its class does not escape that function.
+    exactly when its class does not escape that function. *)
 
-    Written against {!Pt_query}, so it runs over either the Steensgaard
-    partition ({!Points_to.query}) or the field-sensitive DSA one
-    ({!Dsa.query}). *)
-
-val reachable_from_globals : Pt_query.t -> Ast.program -> Pt_query.class_id list
+val reachable_from_globals : Dsa.t -> Ast.program -> Dsa.class_id list
 (** Classes reachable from any global variable: these data structures
     must live in global (long-lived) pools. *)
 
-val escapes : Pt_query.t -> Ast.func -> Pt_query.class_id -> bool
+val escapes : Dsa.t -> Ast.func -> Dsa.class_id -> bool
 (** Whether the class is reachable from the function's parameters or
     return value (globals are handled separately by
     {!reachable_from_globals}). *)
-
-val closure : Pt_query.t -> Pt_query.class_id list -> Pt_query.class_id list
-(** Transitive closure of classes over all outgoing edges (pointee and
-    fields), including the seeds. *)

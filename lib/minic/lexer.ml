@@ -67,7 +67,10 @@ let tokenize_pos src =
       | c when is_digit c ->
         let rec scan j = if j < n && is_digit src.[j] then scan (j + 1) else j in
         let j = scan i in
-        emit_at i (INT_LIT (int_of_string (String.sub src i (j - i))));
+        let digits = String.sub src i (j - i) in
+        (match int_of_string_opt digits with
+         | Some v -> emit_at i (INT_LIT v)
+         | None -> error ("integer literal out of range: " ^ digits));
         go j
       | c when is_ident_start c ->
         let rec scan j = if j < n && is_ident_char src.[j] then scan (j + 1) else j in

@@ -1,5 +1,5 @@
 type pool_desc = {
-  class_id : Points_to.class_id;
+  class_id : Dsa.class_id;
   pool_var : string;
   owner : string;
   struct_name : string option;
@@ -85,8 +85,8 @@ let reach_table (program : Ast.program) =
 
 (* Which functions touch each heap class: malloc sites, frees, and any
    field access (the last so that pooldestroy postdominates all uses). *)
-let users_of_classes (q : Pt_query.t) (program : Ast.program) =
-  let users : (Points_to.class_id, S.t ref) Hashtbl.t = Hashtbl.create 16 in
+let users_of_classes (pt : Dsa.t) (program : Ast.program) =
+  let users : (Dsa.class_id, S.t ref) Hashtbl.t = Hashtbl.create 16 in
   let add c fname =
     let cell =
       match Hashtbl.find_opt users c with
@@ -98,10 +98,10 @@ let users_of_classes (q : Pt_query.t) (program : Ast.program) =
     in
     cell := S.add fname !cell
   in
-  Points_to.iter_malloc_sites program (fun ~site ~fname ~struct_name:_ ~pos:_ ->
-      add (q.Pt_query.site_class site) fname);
+  Dsa.iter_malloc_sites program (fun ~site ~fname ~struct_name:_ ~pos:_ ->
+      add (Dsa.site_class pt site) fname);
   let note_field fname base =
-    match q.Pt_query.expr_pointee_class ~fname base with
+    match Dsa.expr_pointee_class pt ~fname base with
     | Some c -> add c fname
     | None -> ()
   in
@@ -116,7 +116,7 @@ let users_of_classes (q : Pt_query.t) (program : Ast.program) =
       expr fname a
     | Ast.Index (base, idx, _) ->
       (* Element access keeps the object class in use. *)
-      (match q.Pt_query.expr_pointee_class ~fname base with
+      (match Dsa.expr_pointee_class pt ~fname base with
        | Some c -> add c fname
        | None -> ());
       expr fname base;
@@ -134,7 +134,7 @@ let users_of_classes (q : Pt_query.t) (program : Ast.program) =
     | Ast.Return (Some e) ->
       expr fname e
     | Ast.Free (e, _) | Ast.Pool_free (_, e, _) ->
-      (match q.Pt_query.expr_pointee_class ~fname e with
+      (match Dsa.expr_pointee_class pt ~fname e with
        | Some c -> add c fname
        | None -> ());
       expr fname e
@@ -163,10 +163,10 @@ let users_of_classes (q : Pt_query.t) (program : Ast.program) =
 
 (* ---- owner selection --------------------------------------------------- *)
 
-let choose_owners (q : Pt_query.t) program =
+let choose_owners (pt : Dsa.t) program =
   let reach = reach_table program in
-  let users = users_of_classes q program in
-  let global_set = C.of_list (Escape.reachable_from_globals q program) in
+  let users = users_of_classes pt program in
+  let global_set = C.of_list (Escape.reachable_from_globals pt program) in
   let main_name =
     match Ast.find_func program "main" with
     | Some f -> f.Ast.name
@@ -181,7 +181,7 @@ let choose_owners (q : Pt_query.t) program =
         let candidates =
           List.filter
             (fun (f : Ast.func) ->
-              (not (Escape.escapes q f c)) && S.subset us (reach f.Ast.name))
+              (not (Escape.escapes pt f c)) && S.subset us (reach f.Ast.name))
             program.Ast.funcs
         in
         match candidates with
@@ -205,13 +205,13 @@ let choose_owners (q : Pt_query.t) program =
            | Some (owner, _) -> (c, owner, false)
            | None -> global_owner ())
       end)
-    q.Pt_query.heap
+    (Dsa.heap_classes pt)
 
 (* ---- descriptor flow --------------------------------------------------- *)
 
 (* needed f c: f allocates/frees from c, or calls someone who needs the
    descriptor and is not its owner. *)
-let compute_needed (q : Pt_query.t) (program : Ast.program) owners =
+let compute_needed (pt : Dsa.t) (program : Ast.program) owners =
   let owner_of c =
     let rec find = function
       | [] -> fail "class %d has no owner" c
@@ -222,7 +222,7 @@ let compute_needed (q : Pt_query.t) (program : Ast.program) owners =
   (* Only classes that actually contain malloc sites have pools; a [free]
      whose pointer class never received an allocation (dead code, or a
      pointer provably always null) stays a plain free. *)
-  let pool_classes = C.of_list q.Pt_query.heap in
+  let pool_classes = C.of_list (Dsa.heap_classes pt) in
   let direct = Hashtbl.create 16 in
   let add fname c =
     if C.mem c pool_classes then begin
@@ -234,11 +234,11 @@ let compute_needed (q : Pt_query.t) (program : Ast.program) owners =
       Hashtbl.replace direct fname (C.add c cur)
     end
   in
-  Points_to.iter_malloc_sites program (fun ~site ~fname ~struct_name:_ ~pos:_ ->
-      add fname (q.Pt_query.site_class site));
+  Dsa.iter_malloc_sites program (fun ~site ~fname ~struct_name:_ ~pos:_ ->
+      add fname (Dsa.site_class pt site));
   let rec frees fname = function
     | Ast.Free (e, _) | Ast.Pool_free (_, e, _) ->
-      (match q.Pt_query.expr_pointee_class ~fname e with
+      (match Dsa.expr_pointee_class pt ~fname e with
        | Some c -> add fname c
        | None -> ())
     | Ast.If (_, t, f) ->
@@ -287,10 +287,10 @@ let compute_needed (q : Pt_query.t) (program : Ast.program) owners =
 
 (* ---- rewriting --------------------------------------------------------- *)
 
-let transform_with (q : Pt_query.t) (program : Ast.program) =
-  let pool_classes = C.of_list q.Pt_query.heap in
-  let owners = choose_owners q program in
-  let needed = compute_needed q program owners in
+let rewrite (pt : Dsa.t) (program : Ast.program) =
+  let pool_classes = C.of_list (Dsa.heap_classes pt) in
+  let owners = choose_owners pt program in
+  let needed = compute_needed pt program owners in
   let owner_of c =
     List.filter_map (fun (c', o, _) -> if c = c' then Some o else None) owners
     |> function
@@ -327,12 +327,12 @@ let transform_with (q : Pt_query.t) (program : Ast.program) =
       incr site_counter;
       incr sites_rewritten;
       Ast.Pool_malloc_array
-        (pool_var_name (q.Pt_query.site_class site), s, count, p)
+        (pool_var_name (Dsa.site_class pt site), s, count, p)
     | Ast.Malloc (s, p) | Ast.Pool_malloc (_, s, p) ->
       let site = !site_counter in
       incr site_counter;
       incr sites_rewritten;
-      Ast.Pool_malloc (pool_var_name (q.Pt_query.site_class site), s, p)
+      Ast.Pool_malloc (pool_var_name (Dsa.site_class pt site), s, p)
     | Ast.Call (g, args) ->
       let args = List.map (rewrite_expr fname) args in
       let extra = List.map (fun pv -> Ast.Var pv) (pool_params_of g) in
@@ -349,7 +349,7 @@ let transform_with (q : Pt_query.t) (program : Ast.program) =
       [ Ast.Store (base, f, e, p) ]
     | Ast.Free (e, p) | Ast.Pool_free (_, e, p) ->
       let e = rewrite_expr fname e in
-      (match q.Pt_query.expr_pointee_class ~fname e with
+      (match Dsa.expr_pointee_class pt ~fname e with
        | Some c when C.mem c pool_classes ->
          incr frees_rewritten;
          [ Ast.Pool_free (pool_var_name c, e, p) ]
@@ -391,7 +391,7 @@ let transform_with (q : Pt_query.t) (program : Ast.program) =
           List.map
             (fun c ->
               let hint =
-                match q.Pt_query.struct_hint c with
+                match Dsa.struct_hint pt c with
                 | Some s -> s
                 | None -> ""
               in
@@ -416,7 +416,7 @@ let transform_with (q : Pt_query.t) (program : Ast.program) =
           class_id = c;
           pool_var = pool_var_name c;
           owner;
-          struct_name = q.Pt_query.struct_hint c;
+          struct_name = Dsa.struct_hint pt c;
           global;
         })
       owners
@@ -430,7 +430,7 @@ let transform_with (q : Pt_query.t) (program : Ast.program) =
 
 let transform (program : Ast.program) =
   Typecheck.check program;
-  transform_with (Points_to.query (Points_to.analyze program)) program
+  rewrite (Dsa.analyze program) program
 
 let plan = choose_owners
 

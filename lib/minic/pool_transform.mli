@@ -1,5 +1,6 @@
 (** The Automatic Pool Allocation transform (Lattner & Adve, PLDI'05, as
-    used by the paper):
+    used by the paper), driven by the field-sensitive {!Dsa} partition
+    APA is built on:
 
     - every heap points-to class becomes a pool;
     - the pool is created ([Pool_init]) and destroyed ([Pool_destroy]) in
@@ -11,7 +12,7 @@
       parameters, and every call site passes them. *)
 
 type pool_desc = {
-  class_id : Points_to.class_id;
+  class_id : Dsa.class_id;
   pool_var : string;           (** descriptor variable name, e.g. [__pool3] *)
   owner : string;              (** function holding poolinit/pooldestroy *)
   struct_name : string option; (** element-type hint *)
@@ -30,18 +31,9 @@ exception Transform_error of string
 val transform : Ast.program -> Ast.program * summary
 (** The input must typecheck and contain a [main] function.  The output
     program typechecks and has the same observable behaviour, with every
-    allocation routed through a pool.  Uses the Steensgaard partition
-    ({!Points_to}); see {!transform_with} / [Minic.Poolify] for the
-    field-sensitive DSA-driven variant. *)
+    allocation routed through a pool. *)
 
-val transform_with : Pt_query.t -> Ast.program -> Ast.program * summary
-(** {!transform} over an explicit points-to partition.  The caller is
-    responsible for typechecking the program first and for passing a
-    partition computed {e on this exact program} (the positional site
-    numbering must agree). *)
-
-val plan :
-  Pt_query.t -> Ast.program -> (Points_to.class_id * string * bool) list
+val plan : Dsa.t -> Ast.program -> (Dsa.class_id * string * bool) list
 (** Owner selection only: for every heap class, [(class, owner
     function, global?)] — [global] meaning the class is reachable from
     globals (or has no bounded owner) and must live in a [main]-owned,
@@ -52,4 +44,4 @@ val callee_names : Ast.func -> string list
     used for owner placement (exported for [Minic.Poolify]'s
     escape-depth metric). *)
 
-val pool_var_name : Points_to.class_id -> string
+val pool_var_name : Dsa.class_id -> string

@@ -100,9 +100,9 @@ let risk_score ~verdict ~density ~escape_depth ~pool_sites =
 
 let analyze (program : Ast.program) =
   Typecheck.check program;
-  let q = Dsa.query (Dsa.analyze program) in
-  let dang = Dangling.analyze_with q program in
-  let owners = Pool_transform.plan q program in
+  let pt = Dsa.analyze program in
+  let dang = Dangling.analyze_with pt program in
+  let owners = Pool_transform.plan pt program in
   let depth = depth_from_main program in
   let sites_of_class c =
     List.filter_map
@@ -113,7 +113,7 @@ let analyze (program : Ast.program) =
   let pools =
     List.mapi
       (fun id (c, owner, global) ->
-        let struct_names = q.Pt_query.struct_names c in
+        let struct_names = Dsa.struct_names pt c in
         {
           id;
           class_id = c;
@@ -166,10 +166,6 @@ let analyze (program : Ast.program) =
       dang.Dangling.sites
   in
   { pools; sites }
-
-let transform (program : Ast.program) =
-  Typecheck.check program;
-  Pool_transform.transform_with (Dsa.query (Dsa.analyze program)) program
 
 (* ---- output ----------------------------------------------------------- *)
 

@@ -33,7 +33,7 @@ type pool = {
 }
 
 type site_score = {
-  ordinal : int;             (** {!Points_to.iter_malloc_sites} number *)
+  ordinal : int;             (** {!Dsa.iter_malloc_sites} number *)
   fname : string;
   struct_name : string;
   pos : Ast.pos;
@@ -51,10 +51,6 @@ val analyze : Ast.program -> result
 (** Runs {!Typecheck.check}, {!Dsa.analyze}, {!Dangling.analyze_with}
     and {!Pool_transform.plan}; raises the usual parse/type errors on
     malformed input. *)
-
-val transform : Ast.program -> Ast.program * Pool_transform.summary
-(** The pool transform driven by the field-sensitive DSA partition
-    (same rewriting as {!Pool_transform.transform}, finer classes). *)
 
 val risk_score :
   verdict:Dangling.verdict ->

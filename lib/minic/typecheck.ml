@@ -118,7 +118,18 @@ and check_stmt program ret_typ env stmt =
     env
   | Ast.Pool_init _ | Ast.Pool_destroy _ -> env
 
+(* Names must be unique per kind: a second definition would otherwise
+   be silently shadowed (lookups take the first) or merged. *)
+let check_unique kind names =
+  ignore
+    (List.fold_left
+       (fun seen name ->
+         if List.mem name seen then fail "duplicate %s %s" kind name;
+         name :: seen)
+       [] names)
+
 let check_struct program (sname, fields) =
+  check_unique ("field in struct " ^ sname) (List.map snd fields);
   List.iter
     (fun (typ, fname) ->
       match typ with
@@ -130,6 +141,9 @@ let check_struct program (sname, fields) =
     fields
 
 let check program =
+  check_unique "struct" (List.map fst program.Ast.structs);
+  check_unique "global" (List.map snd program.Ast.globals);
+  check_unique "function" (List.map (fun f -> f.Ast.name) program.Ast.funcs);
   List.iter (check_struct program) program.Ast.structs;
   let global_env = List.map (fun (t, n) -> (n, t)) program.Ast.globals in
   List.iter

@@ -293,22 +293,17 @@ let test_verdict_figure1 () =
     (List.exists (( <> ) Minic.Dangling.Safe) (site_verdicts r))
 
 (* Field sensitivity: freeing the object behind s->a must not poison
-   the read through s->b.  The collapsed-field Steensgaard engine
-   merges the two fields and reports a spurious May; the default DSA
-   engine keeps them separate and everything is Safe — the regression
+   the read through s->b.  The field-sensitive partition keeps the two
+   fields in separate classes, so everything is Safe — the regression
    fixture for the field-insensitivity false positive. *)
 let test_verdict_field_disjoint () =
   let src = sample_file "examples/lint" "field_disjoint.mc" in
-  let dsa = Minic.Dangling.analyze ~engine:`Dsa (parse src) in
+  let dsa = Minic.Dangling.analyze (parse src) in
   let _, may, must = counts dsa in
   check_int "dsa: no may" 0 may;
   check_int "dsa: no must" 0 must;
   check_bool "dsa: all sites elidable" true
-    (List.for_all (( = ) Minic.Dangling.Safe) (site_verdicts dsa));
-  let steens = Minic.Dangling.analyze ~engine:`Steensgaard (parse src) in
-  let _, smay, smust = counts steens in
-  check_bool "steensgaard: collapsed fields raise a spurious may" true
-    (smay + smust >= 1)
+    (List.for_all (( = ) Minic.Dangling.Safe) (site_verdicts dsa))
 
 (* ---- satellite 6: typed layout errors ---- *)
 
@@ -706,13 +701,12 @@ let oracle_one ~ctx ~expect_elision source bug =
   in
   let out_static, viol_static = run_with_hook transformed static_scheme in
   check_violations_covered ~ctx:(ctx ^ "/static") r viol_static;
-  (* inferred-pool scheme over the DSA-driven transform: each inferred
-     pool is a separate shadow pool whose destroy bulk-unmaps its VA, so
-     a violation in a correct program here would mean an access after an
+  (* inferred-pool scheme over the same transform: each inferred pool is
+     a separate shadow pool whose destroy bulk-unmaps its VA, so a
+     violation in a correct program here would mean an access after an
      inferred pool_destroy — the pool-lifetime soundness contract *)
-  let inferred_transformed, _ = Minic.Poolify.transform program in
   let out_inferred, viol_inferred =
-    run_with_hook inferred_transformed
+    run_with_hook transformed
       (Runtime.Scheme_spec.(build ours_inferred) (Vmm.Machine.create ()))
   in
   check_violations_covered ~ctx:(ctx ^ "/inferred") r viol_inferred;
@@ -981,6 +975,53 @@ let test_poolify_escape_owner () =
         (List.length p.struct_names))
     r.pools
 
+(* Field-sensitive pools: s->a and s->b hold objects of two distinct
+   classes, so the transform gives them separate pools next to the
+   holder's — three pools, where a field-collapsed partition gives two. *)
+let test_transform_field_disjoint_pools () =
+  let src = sample_file "examples/lint" "field_disjoint.mc" in
+  let _, summary = Minic.Pool_transform.transform (parse src) in
+  check_int "holder + one pool per item field" 3
+    (List.length summary.Minic.Pool_transform.pools)
+
+let example_sources dir =
+  let root = Filename.concat "../../.." dir in
+  let root = if Sys.file_exists root then root else dir in
+  Sys.readdir root |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".mc")
+  |> List.sort compare
+  |> List.map (fun f -> (dir ^ "/" ^ f, sample_file dir f))
+
+(* The transform and the pool inference read one partition, so the
+   pools the transform places are exactly the inferred pool map. *)
+let test_transform_matches_pool_map () =
+  let programs =
+    example_sources "examples/programs" @ example_sources "examples/lint"
+    |> List.filter_map (fun (name, src) ->
+           let program = parse src in
+           match Minic.Typecheck.check program with
+           | () -> Some (name, program)
+           | exception Minic.Typecheck.Type_error _ -> None)
+  in
+  check_bool "examples found" true (List.length programs >= 9);
+  List.iter
+    (fun (name, program) ->
+      let _, summary = Minic.Pool_transform.transform program in
+      let transformed =
+        List.map
+          (fun (d : Minic.Pool_transform.pool_desc) ->
+            (d.class_id, d.owner, d.global))
+          summary.Minic.Pool_transform.pools
+      in
+      let inferred =
+        List.map
+          (fun (p : Minic.Poolify.pool) -> (p.class_id, p.owner, p.global))
+          (Minic.Poolify.analyze program).Minic.Poolify.pools
+      in
+      check_bool (name ^ ": transform pools = inferred pool map") true
+        (transformed = inferred))
+    programs
+
 let () =
   Alcotest.run "dangling"
     [
@@ -1030,6 +1071,10 @@ let () =
             test_poolify_deterministic;
           Alcotest.test_case "escape owner and homogeneity" `Quick
             test_poolify_escape_owner;
+          Alcotest.test_case "field-disjoint pools" `Quick
+            test_transform_field_disjoint_pools;
+          Alcotest.test_case "transform matches pool map" `Quick
+            test_transform_matches_pool_map;
         ] );
       ( "oracle",
         [ Alcotest.test_case "differential soundness" `Quick test_oracle ] );

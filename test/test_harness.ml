@@ -18,7 +18,7 @@ let test_run_batch_result_fields () =
     | Some b -> b
     | None -> Alcotest.fail "gzip missing"
   in
-  let r = Harness.Experiment.run_batch ~scale:30 b Harness.Experiment.ours in
+  let r = Harness.Experiment.run_batch ~scale:30 b Runtime.Scheme_spec.ours in
   check_bool "cycles" true (r.Harness.Experiment.cycles > 0.);
   check_bool "frames" true (r.Harness.Experiment.peak_frames > 0);
   check_bool "va" true (r.Harness.Experiment.va_bytes > 0)
@@ -133,8 +133,8 @@ let test_latency_distribution () =
   let find config =
     List.find (fun d -> d.Harness.Latency.config = config) dists
   in
-  let base = find Harness.Experiment.llvm_base in
-  let ours = find Harness.Experiment.ours in
+  let base = find Runtime.Scheme_spec.llvm_base in
+  let ours = find Runtime.Scheme_spec.ours in
   check_bool "percentiles ordered" true
     (base.Harness.Latency.p50 <= base.Harness.Latency.p95
      && base.Harness.Latency.p95 <= base.Harness.Latency.p99);
@@ -160,17 +160,17 @@ let test_detection_matrix () =
     (List.length cells);
   let guaranteed = Harness.Detection_matrix.guaranteed_configs cells in
   check_bool "ours guaranteed" true
-    (List.mem Harness.Experiment.ours guaranteed);
+    (List.mem Runtime.Scheme_spec.ours guaranteed);
   check_bool "ours (no pools) guaranteed" true
-    (List.mem Harness.Experiment.ours_basic guaranteed);
+    (List.mem Runtime.Scheme_spec.ours_basic guaranteed);
   check_bool "efence guaranteed" true
-    (List.mem Harness.Experiment.efence guaranteed);
+    (List.mem Runtime.Scheme_spec.efence guaranteed);
   check_bool "capability guaranteed" true
-    (List.mem Harness.Experiment.capability guaranteed);
+    (List.mem Runtime.Scheme_spec.capability guaranteed);
   check_bool "native not guaranteed" false
-    (List.mem Harness.Experiment.native guaranteed);
+    (List.mem Runtime.Scheme_spec.native guaranteed);
   check_bool "valgrind heuristic not guaranteed" false
-    (List.mem Harness.Experiment.valgrind guaranteed);
+    (List.mem Runtime.Scheme_spec.valgrind guaranteed);
   let rendered = Harness.Detection_matrix.render cells in
   check_bool "rendered" true (contains rendered "valgrind")
 
@@ -199,11 +199,11 @@ let test_spatial_matrix () =
   List.iter
     (fun scenario ->
       check_bool "ours+bounds catches spatial" true
-        (detected (outcome Harness.Experiment.ours_bounds scenario));
+        (detected (outcome Runtime.Scheme_spec.ours_bounds scenario));
       check_bool "base scheme is temporal-only" false
-        (detected (outcome Harness.Experiment.ours scenario));
+        (detected (outcome Runtime.Scheme_spec.ours scenario));
       check_bool "native misses" false
-        (detected (outcome Harness.Experiment.native scenario)))
+        (detected (outcome Runtime.Scheme_spec.native scenario)))
     [ "overflow-read"; "overflow-write" ]
 
 let test_table_render () =

@@ -188,9 +188,9 @@ let test_efence_vs_ours_memory_on_same_workload () =
   let frames config =
     (Harness.Experiment.run_batch ~scale:60 b config).Harness.Experiment.peak_frames
   in
-  let ours = frames Harness.Experiment.ours in
-  let efence = frames Harness.Experiment.efence in
-  let native = frames Harness.Experiment.native in
+  let ours = frames Runtime.Scheme_spec.ours in
+  let efence = frames Runtime.Scheme_spec.efence in
+  let native = frames Runtime.Scheme_spec.native in
   check_bool
     (Printf.sprintf "ours ~ native physical memory (%d vs %d)" ours native)
     true

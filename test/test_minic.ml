@@ -113,7 +113,13 @@ let test_lexer_operators () =
 let test_lexer_error () =
   (match Minic.Lexer.tokenize "a @ b" with
    | _ -> Alcotest.fail "expected lex error"
-   | exception Minic.Lexer.Lex_error { line = 1; _ } -> ())
+   | exception Minic.Lexer.Lex_error { line = 1; _ } -> ());
+  (* A literal past max_int is a typed lex error, not a Failure. *)
+  match
+    Minic.Lexer.tokenize "void main() {\n  print(99999999999999999999999); }"
+  with
+  | _ -> Alcotest.fail "expected out-of-range literal error"
+  | exception Minic.Lexer.Lex_error { line = 2; _ } -> ()
 
 (* ---- parser ---- *)
 
@@ -178,35 +184,40 @@ let test_typecheck_arity () =
 let test_typecheck_void_return () =
   expect_type_error "void f() { return 3; }  void main() { f(); }"
 
+let test_typecheck_duplicates () =
+  expect_type_error "void main() { } void main() { print(1); }";
+  expect_type_error "struct s { int v; } struct s { int w; int x; } void main() { }";
+  expect_type_error "int g; int g; void main() { }";
+  expect_type_error "struct s { int v; struct s *v; } void main() { }"
+
 (* ---- points-to + escape ---- *)
 
 let test_points_to_example () =
   let p = Minic.Parser.parse running_example in
-  let pt = Minic.Points_to.analyze p in
-  check_bool "has heap classes" true (Minic.Points_to.heap_classes pt <> []);
+  let pt = Minic.Dsa.analyze p in
+  check_bool "has heap classes" true (Minic.Dsa.heap_classes pt <> []);
   (* All list-node malloc sites (sites 0 in create_list and 1 in g) land
      in one class; f's head allocation may be separate. *)
-  let c_list = Minic.Points_to.site_class pt 0 in
-  let c_g = Minic.Points_to.site_class pt 1 in
+  let c_list = Minic.Dsa.site_class pt 0 in
+  let c_g = Minic.Dsa.site_class pt 1 in
   check_int "list sites unified" c_list c_g;
   check_string "struct hint" "s"
-    (Option.value ~default:"?" (Minic.Points_to.struct_hint pt c_list))
+    (Option.value ~default:"?" (Minic.Dsa.struct_hint pt c_list))
 
 let test_escape_example () =
   let p = Minic.Parser.parse running_example in
-  let pt = Minic.Points_to.analyze p in
-  let q = Minic.Points_to.query pt in
-  let c = Minic.Points_to.site_class pt 0 in
+  let pt = Minic.Dsa.analyze p in
+  let c = Minic.Dsa.site_class pt 0 in
   let func name =
     match Minic.Ast.find_func p name with
     | Some f -> f
     | None -> Alcotest.fail ("no function " ^ name)
   in
   check_bool "escapes g (reachable from its param)" true
-    (Minic.Escape.escapes q (func "g") c);
-  check_bool "does not escape f" false (Minic.Escape.escapes q (func "f") c);
+    (Minic.Escape.escapes pt (func "g") c);
+  check_bool "does not escape f" false (Minic.Escape.escapes pt (func "f") c);
   check_bool "no globals -> nothing global" true
-    (Minic.Escape.reachable_from_globals q p = [])
+    (Minic.Escape.reachable_from_globals pt p = [])
 
 let test_escape_globals () =
   let src =
@@ -214,11 +225,10 @@ let test_escape_globals () =
      void main() { g = malloc(struct s); g->v = 1; }"
   in
   let p = Minic.Parser.parse src in
-  let pt = Minic.Points_to.analyze p in
-  let q = Minic.Points_to.query pt in
-  let c = Minic.Points_to.site_class pt 0 in
+  let pt = Minic.Dsa.analyze p in
+  let c = Minic.Dsa.site_class pt 0 in
   check_bool "global-reachable" true
-    (List.mem c (Minic.Escape.reachable_from_globals q p))
+    (List.mem c (Minic.Escape.reachable_from_globals pt p))
 
 (* ---- pool transform ---- *)
 
@@ -704,6 +714,8 @@ let () =
           Alcotest.test_case "bad malloc" `Quick test_typecheck_bad_malloc;
           Alcotest.test_case "arity" `Quick test_typecheck_arity;
           Alcotest.test_case "void return" `Quick test_typecheck_void_return;
+          Alcotest.test_case "duplicate definitions" `Quick
+            test_typecheck_duplicates;
         ] );
       ( "analysis",
         [
