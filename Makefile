@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke faults-smoke farm-smoke report-smoke soak-smoke tag-smoke lint-smoke pools-smoke lint-src check clean
+.PHONY: all build test bench bench-smoke faults-smoke farm-smoke report-smoke soak-smoke tag-smoke lint-smoke pools-smoke tables-smoke lint-src check clean
 
 all: build
 
@@ -76,6 +76,13 @@ lint-smoke:
 	  > /tmp/lint.null_deref.mc
 	@rc=0; dune exec bin/danguard.exe -- compile --run /tmp/lint.null_deref.mc \
 	  || rc=$$?; { [ $$rc -ne 0 ] && [ $$rc -ne 125 ]; } || exit 1
+	@printf 'void main() { }\nvoid main() { print(1); }\n' \
+	  > /tmp/lint.two_main.mc
+	@rc=0; dune exec bin/danguard.exe -- compile /tmp/lint.two_main.mc \
+	  2> /tmp/lint.two_main.err || rc=$$?; \
+	  { [ $$rc -ne 0 ] && [ $$rc -ne 125 ]; } || exit 1; \
+	  grep -q '^/tmp/lint.two_main.mc: error: ' /tmp/lint.two_main.err \
+	  || exit 1
 	@echo "lint-smoke: OK"
 
 # Pool-inference CLI smoke: the human pool map renders, the SARIF
@@ -95,6 +102,21 @@ pools-smoke:
 	diff -u examples/lint/must_uaf.expected.sarif /tmp/lint.must_uaf.sarif
 	@echo "pools-smoke: OK"
 
+# Paper-table goldens: Tables 1-3 at scale divisor 16, as text and as
+# JSON, must match bench/expected/ byte for byte (any change to a table's
+# numbers, headers or key order shows up here as a diff).
+tables-smoke:
+	dune build bin/danguard.exe
+	@for n in 1 2 3; do \
+	  dune exec bin/danguard.exe -- table $$n -d 16 > /tmp/table$$n.txt \
+	    || exit 1; \
+	  diff -u bench/expected/table$$n.txt /tmp/table$$n.txt || exit 1; \
+	  dune exec bin/danguard.exe -- table $$n -d 16 --json \
+	    > /tmp/table$$n.json || exit 1; \
+	  diff -u bench/expected/table$$n.json /tmp/table$$n.json || exit 1; \
+	done
+	@echo "tables-smoke: OK"
+
 # No new bare failwith / assert false in the core libraries (each must
 # name the invariant it guards; see scripts/lint_src.sh).
 lint-src:
@@ -108,6 +130,7 @@ check:
 	$(MAKE) lint-src
 	$(MAKE) lint-smoke
 	$(MAKE) pools-smoke
+	$(MAKE) tables-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) faults-smoke
 	$(MAKE) farm-smoke

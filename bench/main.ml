@@ -20,6 +20,7 @@
    --scale-divisor N picks any other divisor. *)
 
 module J = Telemetry.Json
+module P = Harness.Paper_table
 
 let section title =
   Printf.printf "\n================ %s ================\n%!" title
@@ -32,73 +33,42 @@ let timed name f =
 
 (* ---- 1-3: the paper's tables ---- *)
 
-let run_table1 ~scale_divisor () =
-  section "Table 1: run-time overhead on Unix utilities and servers";
-  print_endline
-    "(cycles in millions; utilities = whole run, servers = mean response\n\
-     per forked connection; Ratio1 = ours/LLVM-base, Ratio2 = ours/native)";
-  timed "table 1" (fun () ->
-      let rows = Harness.Table1.rows ~scale_divisor () in
-      print_endline (Harness.Table1.render rows);
-      rows)
+(* Every distinct (workload, scheme) cell of the three tables is
+   simulated once: Table 2 reads Table 1's LLVM-base and ours cells, and
+   the cost rows read the ours cells. *)
+let run_tables ~scale_divisor () =
+  let cells = timed "tables" (fun () -> P.measure ~scale_divisor P.all) in
+  List.iter
+    (fun (t : P.t) ->
+      section t.P.title;
+      Option.iter print_endline t.P.note;
+      print_endline (P.render t (P.rows cells t)))
+    P.all;
+  cells
 
-let run_table2 ~scale_divisor () =
-  section "Table 2: comparison with the Valgrind-class checker";
-  let rows =
-    timed "table 2" (fun () ->
-        let rows = Harness.Table2.rows ~scale_divisor () in
-        print_endline (Harness.Table2.render rows);
-        rows)
-  in
-  print_endline
-    "(the model charges a uniform DBT factor, so the per-program spread of\n\
-     real memcheck [2.5x-25x] collapses to ~12x; the orders-of-magnitude\n\
-     gap vs. our approach is the property under test)";
-  rows
-
-let run_table3 ~scale_divisor () =
-  section "Table 3: allocation-intensive Olden benchmarks";
-  timed "table 3" (fun () ->
-      let rows = Harness.Table3.rows ~scale_divisor () in
-      print_endline (Harness.Table3.render rows);
-      rows)
-
-(* Per-workload cost rows for BENCH_results.json: one our-approach run
-   per workload harvesting the counters the tables summarize away. *)
-
-let cost_row ~table ~workload ~scale ~cycles (stats : Vmm.Stats.snapshot) =
-  J.Obj
-    [
-      ("table", J.Int table);
-      ("workload", J.String workload);
-      ("config", J.String (Harness.Experiment.config_label Runtime.Scheme_spec.ours));
-      ("scale", J.Int scale);
-      ("cycles", J.Float cycles);
-      ("syscalls", J.Int (Vmm.Stats.total_syscalls stats));
-      ("faults", J.Int stats.Vmm.Stats.faults);
-    ]
-
-let cost_rows ~scale_divisor () =
-  let batch_row table (b : Workload.Spec.batch) =
-    let scale = max 1 (b.Workload.Spec.default_scale / scale_divisor) in
-    let r = Harness.Experiment.run_batch ~scale b Runtime.Scheme_spec.ours in
-    cost_row ~table ~workload:b.Workload.Spec.name ~scale
-      ~cycles:r.Harness.Experiment.cycles r.Harness.Experiment.stats
-  in
-  let server_row (s : Workload.Spec.server) =
-    let connections =
-      max 2 (s.Workload.Spec.s_default_connections / scale_divisor)
-    in
-    let r =
-      Harness.Experiment.run_server ~connections s Runtime.Scheme_spec.ours
-    in
-    cost_row ~table:1 ~workload:s.Workload.Spec.s_name ~scale:connections
-      ~cycles:r.Runtime.Process.total_cycles r.Runtime.Process.total_stats
-  in
-  timed "cost rows" (fun () ->
-      List.map (batch_row 1) Workload.Catalog.utilities
-      @ List.map server_row Workload.Catalog.servers
-      @ List.map (batch_row 3) Workload.Catalog.olden)
+(* Per-workload cost rows for BENCH_results.json: the our-approach
+   cell's counters, which the tables summarize away.  Table 2's
+   workloads are Table 1's utilities, so tables 1 and 3 cover each
+   workload once. *)
+let cost_rows cells =
+  let ours = Runtime.Scheme_spec.ours in
+  List.concat_map
+    (fun (t : P.t) ->
+      List.map
+        (fun w ->
+          let c = P.cell cells w ours in
+          J.Obj
+            [
+              ("table", J.Int t.P.number);
+              ("workload", J.String (P.workload_name w));
+              ("config", J.String (Runtime.Scheme_spec.label ours));
+              ("scale", J.Int c.P.scale);
+              ("cycles", J.Float c.P.run_cycles);
+              ("syscalls", J.Int (Vmm.Stats.total_syscalls c.P.stats));
+              ("faults", J.Int c.P.stats.Vmm.Stats.faults);
+            ])
+        t.P.workloads)
+    P.[ table1; table3 ]
 
 (* ---- 4: section 4.3 ---- *)
 
@@ -166,7 +136,7 @@ let run_detection () =
   print_endline (Harness.Detection_matrix.render cells);
   let guaranteed =
     Harness.Detection_matrix.guaranteed_configs cells
-    |> List.map Harness.Experiment.config_label
+    |> List.map Runtime.Scheme_spec.label
     |> String.concat ", "
   in
   Printf.printf "schemes detecting every scenario: %s\n" guaranteed;
@@ -300,7 +270,7 @@ let ablation_cache_behaviour () =
       let s = r.Harness.Experiment.stats in
       let accesses = s.Vmm.Stats.loads + s.Vmm.Stats.stores in
       Printf.printf "  %-16s cache misses %6d (%.2f%% of %d accesses)\n"
-        (Harness.Experiment.config_label config)
+        (Runtime.Scheme_spec.label config)
         s.Vmm.Stats.cache_misses
         (100. *. float_of_int s.Vmm.Stats.cache_misses
          /. float_of_int (max 1 accesses))
@@ -385,13 +355,17 @@ let micro_tests =
 (* One macro bench per paper table, at reduced scale so bechamel can
    sample them a few times. *)
 let table_tests =
-  [
-    Test.make ~name:"table1/utilities+servers"
-      (Staged.stage (fun () -> ignore (Harness.Table1.rows ~scale_divisor:16 ())));
-    Test.make ~name:"table2/valgrind-comparison"
-      (Staged.stage (fun () -> ignore (Harness.Table2.rows ~scale_divisor:16 ())));
-    Test.make ~name:"table3/olden"
-      (Staged.stage (fun () -> ignore (Harness.Table3.rows ~scale_divisor:16 ())));
+  List.map
+    (fun (name, t) ->
+      Test.make ~name
+        (Staged.stage (fun () -> ignore (P.run ~scale_divisor:16 t))))
+    P.
+      [
+        ("table1/utilities+servers", table1);
+        ("table2/valgrind-comparison", table2);
+        ("table3/olden", table3);
+      ]
+  @ [
     Test.make ~name:"sec4.3/addr-space"
       (Staged.stage (fun () ->
            ignore (Harness.Addr_space.rows ~connections:3 ())));
@@ -493,10 +467,7 @@ let () =
      in Production Servers' (Dhurjati & Adve, DSN 2006)";
   if scale_divisor > 1 then
     Printf.printf "(workload scales divided by %d)\n" scale_divisor;
-  let t1 = run_table1 ~scale_divisor () in
-  let t2 = run_table2 ~scale_divisor () in
-  let t3 = run_table3 ~scale_divisor () in
-  let costs = cost_rows ~scale_divisor () in
+  let cells = run_tables ~scale_divisor () in
   run_addr_space ();
   run_latency ();
   run_exhaustion ();
@@ -520,12 +491,11 @@ let () =
   in
   write_results ~out:!out ~scale_divisor ~smoke:!smoke
     ~tables:
-      [
-        ("table1", Harness.Table1.to_json t1);
-        ("table2", Harness.Table2.to_json t2);
-        ("table3", Harness.Table3.to_json t3);
-      ]
-    ~costs ~bechamel ~fastpath ~static_elision ~pool_inference
+      (List.map
+         (fun (t : P.t) ->
+           (Printf.sprintf "table%d" t.P.number, P.to_json t (P.rows cells t)))
+         P.all)
+    ~costs:(cost_rows cells) ~bechamel ~fastpath ~static_elision ~pool_inference
     ~epoch_batching ~tag_backend
     ~resilience:(Harness.Resilience.to_json resilience)
     ~farm ~fleet ~soak;

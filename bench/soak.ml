@@ -21,72 +21,6 @@
 
 module J = Telemetry.Json
 
-let row_json (r : Harness.Soak.day_row) =
-  J.Obj
-    [
-      ("day", J.Int r.Harness.Soak.day);
-      ("va_pages_used", J.Int r.Harness.Soak.va_pages_used);
-      ("delta_pages", J.Int r.Harness.Soak.delta_pages);
-      ("freed_shadow_pages", J.Int r.Harness.Soak.freed_shadow_pages);
-      ("pinned_ranges", J.Int r.Harness.Soak.pinned_ranges);
-      ("gc_runs", J.Int r.Harness.Soak.gc_runs);
-      ("reclaimed_pages", J.Int r.Harness.Soak.reclaimed_pages);
-      ("probes", J.Int r.Harness.Soak.probes);
-      ("probes_detected", J.Int r.Harness.Soak.probes_detected);
-      ("mode", J.String r.Harness.Soak.mode);
-    ]
-
-let result_json (r : Harness.Soak.result) =
-  J.Obj
-    [
-      ("days", J.Int r.Harness.Soak.cfg.Harness.Soak.days);
-      ( "connections",
-        J.Int
-          (r.Harness.Soak.cfg.Harness.Soak.days
-          * r.Harness.Soak.cfg.Harness.Soak.connections_per_day) );
-      ("budget_pages", J.Int r.Harness.Soak.cfg.Harness.Soak.budget_pages);
-      ("rows", J.List (List.map row_json r.Harness.Soak.rows));
-      ("total_probes", J.Int r.Harness.Soak.total_probes);
-      ("missed_probes", J.Int r.Harness.Soak.missed_probes);
-      ("reclaims_with_witness", J.Int r.Harness.Soak.reclaims_with_witness);
-      ("gc_runs", J.Int r.Harness.Soak.gc_runs);
-      ("reclaimed_pages", J.Int r.Harness.Soak.reclaimed_pages);
-      ("scanned_words", J.Int r.Harness.Soak.scanned_words);
-      ("pinned_final", J.Int r.Harness.Soak.pinned_final);
-      ("exhausted", J.Bool r.Harness.Soak.exhausted);
-      ( "projected_hours",
-        match r.Harness.Soak.projected_hours with
-        | Some h -> J.Float h
-        | None -> J.Null );
-      ("first_day_delta_pages", J.Int r.Harness.Soak.first_day_delta_pages);
-      ("tail_delta_pages", J.Int r.Harness.Soak.tail_delta_pages);
-      ( "actions",
-        J.List
-          (List.map
-             (fun (action, level, pages) ->
-               J.Obj
-                 [
-                   ("action", J.String action);
-                   ("level", J.String level);
-                   ("pages_used", J.Int pages);
-                 ])
-             r.Harness.Soak.actions) );
-      ( "governor_transitions",
-        J.List
-          (List.map
-             (fun (from_mode, to_mode, reason) ->
-               J.Obj
-                 [
-                   ("from", J.String from_mode);
-                   ("to", J.String to_mode);
-                   ("reason", J.String reason);
-                 ])
-             r.Harness.Soak.governor_transitions) );
-      ( "pressure_levels",
-        J.List
-          (List.map (fun l -> J.String l) r.Harness.Soak.pressure_levels) );
-    ]
-
 let print_result name (r : Harness.Soak.result) =
   Printf.printf "  %s:\n" name;
   Printf.printf
@@ -180,7 +114,7 @@ let run ~smoke () =
   print_result "ladder" ladder;
   J.Obj
     [
-      ("without_gc", result_json without_gc);
-      ("with_gc", result_json with_gc);
-      ("ladder", result_json ladder);
+      ("without_gc", Harness.Soak.to_json without_gc);
+      ("with_gc", Harness.Soak.to_json with_gc);
+      ("ladder", Harness.Soak.to_json ladder);
     ]

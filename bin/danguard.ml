@@ -73,35 +73,22 @@ let table_cmd =
            ~doc:"Table number (1, 2 or 3).")
   in
   let run which divisor json =
-    let envelope n rows_json =
-      J.to_string
-        (J.Obj
-           [
-             ("table", J.Int n);
-             ("scale_divisor", J.Int divisor);
-             ("rows", rows_json);
-           ])
-    in
-    match which with
-    | 1 ->
-      let rows = Harness.Table1.rows ~scale_divisor:divisor () in
+    match Harness.Paper_table.find which with
+    | None ->
+      `Error (false, Printf.sprintf "no table %d (expected 1, 2 or 3)" which)
+    | Some t ->
+      let rows = Harness.Paper_table.run ~scale_divisor:divisor t in
       print_endline
-        (if json then envelope 1 (Harness.Table1.to_json rows)
-         else Harness.Table1.render rows);
+        (if json then
+           J.to_string
+             (J.Obj
+                [
+                  ("table", J.Int which);
+                  ("scale_divisor", J.Int divisor);
+                  ("rows", Harness.Paper_table.to_json t rows);
+                ])
+         else Harness.Paper_table.render t rows);
       `Ok ()
-    | 2 ->
-      let rows = Harness.Table2.rows ~scale_divisor:divisor () in
-      print_endline
-        (if json then envelope 2 (Harness.Table2.to_json rows)
-         else Harness.Table2.render rows);
-      `Ok ()
-    | 3 ->
-      let rows = Harness.Table3.rows ~scale_divisor:divisor () in
-      print_endline
-        (if json then envelope 3 (Harness.Table3.to_json rows)
-         else Harness.Table3.render rows);
-      `Ok ()
-    | n -> `Error (false, Printf.sprintf "no table %d (expected 1, 2 or 3)" n)
   in
   cmd "table" ~doc:"Regenerate a table from the paper's evaluation."
     Term.(ret (const run $ which $ scale_divisor_arg $ json_arg))
@@ -131,7 +118,7 @@ let detect_cmd =
         match c.Harness.Detection_matrix.outcome with
         | Workload.Fault_injection.Detected r ->
           Printf.printf "%-24s %-22s %s\n"
-            (Harness.Experiment.config_label c.Harness.Detection_matrix.config)
+            (Runtime.Scheme_spec.label c.Harness.Detection_matrix.config)
             c.Harness.Detection_matrix.scenario
             (Shadow.Report.to_string r)
         | Workload.Fault_injection.Silent _
@@ -215,7 +202,7 @@ let run_cmd =
              ~doc:"Workload name (see $(b,danguard list)).")
   in
   let run name config scale json =
-    let label = Harness.Experiment.config_label config in
+    let label = Runtime.Scheme_spec.label config in
     match Workload.Catalog.find_batch name with
     | Some batch ->
       let r = Harness.Experiment.run_batch ?scale batch config in
@@ -307,6 +294,29 @@ let list_cmd =
   cmd "list" ~doc:"List all workloads."
     Term.(const run $ const ())
 
+(* ---- MiniC input ----
+   The one loader for every subcommand that reads a program, so
+   malformed input reports the same way everywhere: FILE:LINE: error:
+   MSG (or FILE: error: MSG without a line) on stderr, exit 2. *)
+
+let minic_error ?line file msg =
+  (match line with
+   | Some line -> Printf.eprintf "%s:%d: error: %s\n%!" file line msg
+   | None -> Printf.eprintf "%s: error: %s\n%!" file msg);
+  Stdlib.exit 2
+
+let load_minic file =
+  let source = In_channel.with_open_text file In_channel.input_all in
+  match Minic.Parser.parse source with
+  | exception
+      ( Minic.Parser.Parse_error { line; message }
+      | Minic.Lexer.Lex_error { line; message } ) ->
+    minic_error ~line file message
+  | program ->
+    (match Minic.Typecheck.check program with
+     | () -> program
+     | exception Minic.Typecheck.Type_error msg -> minic_error file msg)
+
 (* ---- compile ---- *)
 
 let compile_cmd =
@@ -322,54 +332,49 @@ let compile_cmd =
     Arg.(value & flag & info [ "run" ] ~doc:"Run the transformed program.")
   in
   let run file emit execute config =
-    let source = In_channel.with_open_text file In_channel.input_all in
-    match Minic.Parser.parse source with
-    | exception Minic.Parser.Parse_error { line; message } ->
-      `Error (false, Printf.sprintf "%s:%d: %s" file line message)
-    | exception Minic.Lexer.Lex_error { line; message } ->
-      `Error (false, Printf.sprintf "%s:%d: %s" file line message)
-    | program ->
-      (match Minic.Pool_transform.transform program with
-       | exception Minic.Typecheck.Type_error msg -> `Error (false, msg)
-       | exception Minic.Pool_transform.Transform_error msg ->
-         `Error (false, msg)
-       | transformed, summary ->
-         Printf.printf "pools inferred (%d sites, %d frees rewritten):\n"
-           summary.Minic.Pool_transform.sites_rewritten
-           summary.Minic.Pool_transform.frees_rewritten;
-         List.iter
-           (fun (d : Minic.Pool_transform.pool_desc) ->
-             Printf.printf "  %-10s owner=%-12s struct=%-8s %s\n"
-               d.Minic.Pool_transform.pool_var d.Minic.Pool_transform.owner
-               (Option.value ~default:"?" d.Minic.Pool_transform.struct_name)
-               (if d.Minic.Pool_transform.global then "(global, long-lived)"
-                else ""))
-           summary.Minic.Pool_transform.pools;
-         if emit then begin
-           print_endline "";
-           print_endline (Minic.Pretty.program_to_string transformed)
-         end;
-         if not execute then `Ok ()
-         else begin
-           let scheme = Harness.Experiment.make_scheme config () in
-           match Minic.Interp.run transformed scheme with
-           | outcome ->
-             List.iter (Printf.printf "print: %d\n") outcome.Minic.Interp.prints;
-             Printf.printf "steps: %d, cycles: %sM\n" outcome.Minic.Interp.steps
-               (Harness.Table.fmt_cycles
-                  (Runtime.Scheme.cycles scheme));
-             `Ok ()
-           | exception Shadow.Report.Violation r ->
-             Printf.printf "TEMPORAL ERROR DETECTED: %s\n"
-               (Shadow.Report.to_string r);
-             `Ok ()
-           | exception Minic.Interp.Null_dereference msg ->
-             `Error (false, Printf.sprintf "%s: null dereference in %s" file msg)
-           | exception Minic.Interp.Runtime_error msg ->
-             `Error (false, Printf.sprintf "%s: runtime error: %s" file msg)
-         end)
+    let program = load_minic file in
+    match Minic.Pool_transform.transform program with
+    | exception Minic.Pool_transform.Transform_error msg ->
+      minic_error file msg
+    | transformed, summary ->
+      Printf.printf "pools inferred (%d sites, %d frees rewritten):\n"
+        summary.Minic.Pool_transform.sites_rewritten
+        summary.Minic.Pool_transform.frees_rewritten;
+      List.iter
+        (fun (d : Minic.Pool_transform.pool_desc) ->
+          Printf.printf "  %-10s owner=%-12s struct=%-8s %s\n"
+            d.Minic.Pool_transform.pool_var d.Minic.Pool_transform.owner
+            (Option.value ~default:"?" d.Minic.Pool_transform.struct_name)
+            (if d.Minic.Pool_transform.global then "(global, long-lived)"
+             else ""))
+        summary.Minic.Pool_transform.pools;
+      if emit then begin
+        print_endline "";
+        print_endline (Minic.Pretty.program_to_string transformed)
+      end;
+      if not execute then `Ok ()
+      else begin
+        let scheme = Harness.Experiment.make_scheme config () in
+        match Minic.Interp.run transformed scheme with
+        | outcome ->
+          List.iter (Printf.printf "print: %d\n") outcome.Minic.Interp.prints;
+          Printf.printf "steps: %d, cycles: %sM\n" outcome.Minic.Interp.steps
+            (Harness.Table.fmt_cycles
+               (Runtime.Scheme.cycles scheme));
+          `Ok ()
+        | exception Shadow.Report.Violation r ->
+          Printf.printf "TEMPORAL ERROR DETECTED: %s\n"
+            (Shadow.Report.to_string r);
+          `Ok ()
+        | exception Minic.Interp.Null_dereference msg ->
+          `Error (false, Printf.sprintf "%s: null dereference in %s" file msg)
+        | exception Minic.Interp.Runtime_error msg ->
+          `Error (false, Printf.sprintf "%s: runtime error: %s" file msg)
+      end
   in
-  cmd "compile" ~doc:"Parse, pool-transform and optionally run a MiniC program."
+  cmd "compile"
+    ~doc:"Parse, pool-transform and optionally run a MiniC program.  Exits 2 \
+          on malformed input."
     Term.(ret (const run $ file $ emit $ execute $ config_arg))
 
 (* ---- lint ---- *)
@@ -389,30 +394,17 @@ let lint_cmd =
   (* Exit codes are part of the contract (pinned by make lint-smoke):
      0 clean / may-only, 2 malformed input, 3 at least one Must-UAF. *)
   let run file json sarif =
-    let fail msg =
-      prerr_endline msg;
-      Stdlib.exit 2
-    in
-    let source = In_channel.with_open_text file In_channel.input_all in
-    match Minic.Parser.parse source with
-    | exception Minic.Parser.Parse_error { line; message } ->
-      fail (Printf.sprintf "%s:%d: error: %s" file line message)
-    | exception Minic.Lexer.Lex_error { line; message } ->
-      fail (Printf.sprintf "%s:%d: error: %s" file line message)
-    | program ->
-      (match Minic.Dangling.analyze program with
-       | exception Minic.Typecheck.Type_error msg ->
-         fail (Printf.sprintf "%s: error: %s" file msg)
-       | exception Minic.Ast.Semantic_error msg ->
-         fail (Printf.sprintf "%s: error: %s" file msg)
-       | result ->
-         let d = Minic.Diagnostics.make ~file result in
-         if sarif then
-           print_endline (J.to_string_pretty (Minic.Diagnostics.to_sarif d))
-         else if json then
-           print_endline (J.to_string_pretty (Minic.Diagnostics.to_json d))
-         else print_string (Minic.Diagnostics.render d);
-         Stdlib.exit (Minic.Diagnostics.exit_code d))
+    let program = load_minic file in
+    match Minic.Dangling.analyze program with
+    | exception Minic.Ast.Semantic_error msg -> minic_error file msg
+    | result ->
+      let d = Minic.Diagnostics.make ~file result in
+      if sarif then
+        print_endline (J.to_string_pretty (Minic.Diagnostics.to_sarif d))
+      else if json then
+        print_endline (J.to_string_pretty (Minic.Diagnostics.to_json d))
+      else print_string (Minic.Diagnostics.render d);
+      Stdlib.exit (Minic.Diagnostics.exit_code d)
   in
   cmd "lint" ~doc:"Static dangling-pointer analysis of a MiniC program: every \
              free and dereference gets a Safe / may-UAF / must-UAF verdict \
@@ -428,29 +420,17 @@ let pools_cmd =
          & info [] ~docv:"FILE.mc" ~doc:"MiniC source file.")
   in
   let run file json =
-    let fail msg =
-      prerr_endline msg;
-      Stdlib.exit 2
-    in
-    let source = In_channel.with_open_text file In_channel.input_all in
-    match Minic.Parser.parse source with
-    | exception Minic.Parser.Parse_error { line; message } ->
-      fail (Printf.sprintf "%s:%d: error: %s" file line message)
-    | exception Minic.Lexer.Lex_error { line; message } ->
-      fail (Printf.sprintf "%s:%d: error: %s" file line message)
-    | program ->
-      (match Minic.Poolify.analyze program with
-       | exception Minic.Typecheck.Type_error msg ->
-         fail (Printf.sprintf "%s: error: %s" file msg)
-       | exception Minic.Ast.Semantic_error msg ->
-         fail (Printf.sprintf "%s: error: %s" file msg)
-       | exception Minic.Pool_transform.Transform_error msg ->
-         fail (Printf.sprintf "%s: error: %s" file msg)
-       | result ->
-         if json then
-           print_endline
-             (J.to_string_pretty (Minic.Poolify.to_json ~file result))
-         else print_string (Minic.Poolify.render ~file result))
+    let program = load_minic file in
+    match Minic.Poolify.analyze program with
+    | exception
+        ( Minic.Ast.Semantic_error msg
+        | Minic.Pool_transform.Transform_error msg ) ->
+      minic_error file msg
+    | result ->
+      if json then
+        print_endline
+          (J.to_string_pretty (Minic.Poolify.to_json ~file result))
+      else print_string (Minic.Poolify.render ~file result)
   in
   cmd "pools"
     ~doc:"Static pool inference over the field-sensitive DSA partition: \
@@ -533,7 +513,7 @@ let trace_cmd =
       "%s under %s: wrote %d events to %s (%d recorded, %d evicted by ring, \
        sample 1/%d)\n"
       batch.Workload.Spec.name
-      (Harness.Experiment.config_label config)
+      (Runtime.Scheme_spec.label config)
       (List.length events) out
       (Telemetry.Sink.recorded sink)
       (Telemetry.Sink.dropped sink)
@@ -585,7 +565,7 @@ let trace_cmd =
               Printf.printf
                 "replayed %d events under %s: %d reads, %d violations, %sM cycles\n"
                 (Workload.Trace.length trace)
-                (Harness.Experiment.config_label config)
+                (Runtime.Scheme_spec.label config)
                 (List.length result.Workload.Trace.reads)
                 result.Workload.Trace.violations
                 (Harness.Table.fmt_cycles (Runtime.Scheme.cycles scheme));
@@ -703,7 +683,7 @@ let farm_cmd =
                  (Telemetry.Export.to_chrome_string_grouped
                     ~name_of_pid:(fun pid -> Printf.sprintf "shard %d" (pid - 1))
                     groups)));
-        let label = Harness.Experiment.config_label config in
+        let label = Runtime.Scheme_spec.label config in
         if json then
           print_endline
             (J.to_string
@@ -840,7 +820,7 @@ let report_cmd =
         let expected_probes =
           if probe_every <= 0 then 0 else (served + probe_every - 1) / probe_every
         in
-        let label = Harness.Experiment.config_label config in
+        let label = Runtime.Scheme_spec.label config in
         let gauge name =
           int_of_float
             (Telemetry.Metrics.gauge_value
@@ -975,44 +955,14 @@ let soak_cmd =
       if json then
         print_endline
           (J.to_string
-             (J.Obj
-                [
-                  ("server", J.String server);
-                  ("days", J.Int days);
-                  ("connections_per_day", J.Int connections);
-                  ("budget_pages", J.Int config.Harness.Soak.budget_pages);
-                  ("endurance", J.Bool (not no_reclaim));
-                  ("total_probes", J.Int r.Harness.Soak.total_probes);
-                  ("missed_probes", J.Int r.Harness.Soak.missed_probes);
-                  ( "reclaims_with_witness",
-                    J.Int r.Harness.Soak.reclaims_with_witness );
-                  ("gc_runs", J.Int r.Harness.Soak.gc_runs);
-                  ("reclaimed_pages", J.Int r.Harness.Soak.reclaimed_pages);
-                  ("pinned_final", J.Int r.Harness.Soak.pinned_final);
-                  ("exhausted", J.Bool r.Harness.Soak.exhausted);
-                  ( "projected_hours",
-                    match r.Harness.Soak.projected_hours with
-                    | Some h -> J.Float h
-                    | None -> J.Null );
-                  ( "first_day_delta_pages",
-                    J.Int r.Harness.Soak.first_day_delta_pages );
-                  ("tail_delta_pages", J.Int r.Harness.Soak.tail_delta_pages);
-                  ( "rows",
-                    J.List
-                      (List.map
-                         (fun (row : Harness.Soak.day_row) ->
-                           J.Obj
-                             [
-                               ("day", J.Int row.Harness.Soak.day);
-                               ( "va_pages_used",
-                                 J.Int row.Harness.Soak.va_pages_used );
-                               ("gc_runs", J.Int row.Harness.Soak.gc_runs);
-                               ( "probes_detected",
-                                 J.Int row.Harness.Soak.probes_detected );
-                               ("mode", J.String row.Harness.Soak.mode);
-                             ])
-                         r.Harness.Soak.rows) );
-                ]))
+             (match Harness.Soak.to_json r with
+              | J.Obj report ->
+                J.Obj
+                  (("server", J.String server)
+                  :: ("connections_per_day", J.Int connections)
+                  :: ("endurance", J.Bool (not no_reclaim))
+                  :: report)
+              | report -> report))
       else begin
         Printf.printf
           "soak: %s, %d day(s) x %d connections, budget %d pages%s\n"

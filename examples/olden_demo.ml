@@ -33,7 +33,7 @@ let () =
       let cycles, stats = measure config in
       Printf.printf
         "%-24s %9sM cycles  (%.2fx)   syscalls %6d   TLB misses %7d\n"
-        (Harness.Experiment.config_label config)
+        (Runtime.Scheme_spec.label config)
         (Harness.Table.fmt_cycles cycles)
         (cycles /. base_cycles)
         (Vmm.Stats.total_syscalls stats)

@@ -105,7 +105,7 @@ val run_server :
   ?probe_sites:int ->
   ?recover:bool ->
   ?trace_capacity:int ->
-  ?config:Harness.Experiment.config ->
+  ?config:Runtime.Scheme_spec.t ->
   ?connections:int ->
   shards:int ->
   Workload.Spec.server ->

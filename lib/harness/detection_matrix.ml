@@ -1,5 +1,5 @@
 type cell = {
-  config : Experiment.config;
+  config : Runtime.Scheme_spec.t;
   scenario : string;
   outcome : Workload.Fault_injection.outcome;
 }
@@ -60,7 +60,7 @@ let render cells =
   let rows =
     List.map
       (fun config ->
-        Experiment.config_label config
+        Runtime.Scheme_spec.label config
         :: List.map
              (fun s ->
                match

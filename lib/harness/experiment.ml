@@ -1,5 +1,3 @@
-type config = Runtime.Scheme_spec.t
-
 type result = {
   cycles : float;
   stats : Vmm.Stats.snapshot;
@@ -7,26 +5,6 @@ type result = {
   va_bytes : int;
   extra_memory_bytes : int;
 }
-
-let config_label = Runtime.Scheme_spec.label
-
-(* The paper tables' columns, in column order.  The epoch/static/
-   inferred/tagged variants are measured by their dedicated bench
-   sections, not the original tables. *)
-let all_configs =
-  Runtime.Scheme_spec.
-    [
-      native;
-      llvm_base;
-      pa;
-      pa_dummy;
-      ours;
-      ours_basic;
-      ours_bounds;
-      efence;
-      valgrind;
-      capability;
-    ]
 
 let make_scheme config ?(pa_quality_gain = 1.0) ?trace () =
   let machine =

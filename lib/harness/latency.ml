@@ -1,5 +1,5 @@
 type distribution = {
-  config : Experiment.config;
+  config : Runtime.Scheme_spec.t;
   p50 : float;
   p95 : float;
   p99 : float;
@@ -73,7 +73,7 @@ let render dists =
   in
   let cells d =
     [
-      Experiment.config_label d.config;
+      Runtime.Scheme_spec.label d.config;
       Table.fmt_cycles d.p50;
       Table.fmt_cycles d.p95;
       Table.fmt_cycles d.p99;

@@ -9,7 +9,7 @@
     which is exactly why the paper targets servers. *)
 
 type distribution = {
-  config : Experiment.config;
+  config : Runtime.Scheme_spec.t;
   p50 : float;   (** median cycles per connection *)
   p95 : float;
   p99 : float;
@@ -29,7 +29,7 @@ val quantiles_of_histogram : Telemetry.Histogram.t -> quantiles
     per-shard latency histogram). *)
 
 val measure :
-  ?connections:int -> Experiment.config -> distribution
+  ?connections:int -> Runtime.Scheme_spec.t -> distribution
 (** Serve [connections] (default 120) heavy-tailed requests. *)
 
 val study : ?connections:int -> unit -> distribution list

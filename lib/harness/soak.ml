@@ -335,3 +335,65 @@ let run ?(config = default_config) () =
           Shadow.Va_budget.level_label tr.Shadow.Va_budget.to_level)
         (Shadow.Va_budget.transitions budget);
   }
+
+let day_row_json r =
+  let open Telemetry.Json in
+  Obj
+    [
+      ("day", Int r.day);
+      ("va_pages_used", Int r.va_pages_used);
+      ("delta_pages", Int r.delta_pages);
+      ("freed_shadow_pages", Int r.freed_shadow_pages);
+      ("pinned_ranges", Int r.pinned_ranges);
+      ("gc_runs", Int r.gc_runs);
+      ("reclaimed_pages", Int r.reclaimed_pages);
+      ("probes", Int r.probes);
+      ("probes_detected", Int r.probes_detected);
+      ("mode", String r.mode);
+    ]
+
+let to_json r =
+  let open Telemetry.Json in
+  Obj
+    [
+      ("days", Int r.cfg.days);
+      ("connections", Int (r.cfg.days * r.cfg.connections_per_day));
+      ("budget_pages", Int r.cfg.budget_pages);
+      ("rows", List (List.map day_row_json r.rows));
+      ("total_probes", Int r.total_probes);
+      ("missed_probes", Int r.missed_probes);
+      ("reclaims_with_witness", Int r.reclaims_with_witness);
+      ("gc_runs", Int r.gc_runs);
+      ("reclaimed_pages", Int r.reclaimed_pages);
+      ("scanned_words", Int r.scanned_words);
+      ("pinned_final", Int r.pinned_final);
+      ("exhausted", Bool r.exhausted);
+      ( "projected_hours",
+        match r.projected_hours with Some h -> Float h | None -> Null );
+      ("first_day_delta_pages", Int r.first_day_delta_pages);
+      ("tail_delta_pages", Int r.tail_delta_pages);
+      ( "actions",
+        List
+          (List.map
+             (fun (action, level, pages) ->
+               Obj
+                 [
+                   ("action", String action);
+                   ("level", String level);
+                   ("pages_used", Int pages);
+                 ])
+             r.actions) );
+      ( "governor_transitions",
+        List
+          (List.map
+             (fun (from_mode, to_mode, reason) ->
+               Obj
+                 [
+                   ("from", String from_mode);
+                   ("to", String to_mode);
+                   ("reason", String reason);
+                 ])
+             r.governor_transitions) );
+      ( "pressure_levels",
+        List (List.map (fun l -> String l) r.pressure_levels) );
+    ]

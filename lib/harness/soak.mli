@@ -85,3 +85,9 @@ type result = {
 
 val run : ?config:config -> unit -> result
 (** Deterministic for a given config (seeded PRNG, no wall clock). *)
+
+val to_json : result -> Telemetry.Json.t
+(** The whole report as one JSON object: the run's size, every day row,
+    the oracle counters, the endurance action log and the governor and
+    VA-pressure transitions (the bench [soak] section and
+    [danguard soak --json]). *)

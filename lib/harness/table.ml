@@ -49,5 +49,3 @@ let fmt_bytes b =
   if b >= 1 lsl 20 then Printf.sprintf "%.1f MiB" (f /. 1048576.)
   else if b >= 1024 then Printf.sprintf "%.1f KiB" (f /. 1024.)
   else Printf.sprintf "%d B" b
-
-let json_opt f = function Some v -> f v | None -> Telemetry.Json.Null

@@ -19,6 +19,3 @@ val fmt_ratio : float -> string
 
 val fmt_bytes : int -> string
 (** Human-scaled bytes, e.g. ["1.2 MiB"]. *)
-
-val json_opt : ('a -> Telemetry.Json.t) -> 'a option -> Telemetry.Json.t
-(** [None] becomes [Null]; shared by the tables' [to_json] exporters. *)

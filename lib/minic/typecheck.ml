@@ -65,12 +65,23 @@ let rec expr_type program env expr =
        |> List.iter (fun a -> ignore (expr_type program env a));
        f.Ast.ret)
 
+(* Names must be unique per kind: a second definition would otherwise
+   be silently shadowed (lookups take the first) or merged. *)
+let check_unique ?(within = "") kind names =
+  ignore
+    (List.fold_left
+       (fun seen name ->
+         if List.mem name seen then fail "duplicate %s %s%s" kind name within;
+         name :: seen)
+       [] names)
+
+(* A block may shadow an outer name but not declare one twice. *)
 let rec check_stmts program ret_typ env stmts =
-  match stmts with
-  | [] -> ()
-  | stmt :: rest ->
-    let env' = check_stmt program ret_typ env stmt in
-    check_stmts program ret_typ env' rest
+  check_unique "declaration"
+    (List.filter_map
+       (function Ast.Decl (_, name, _) -> Some name | _ -> None)
+       stmts);
+  ignore (List.fold_left (check_stmt program ret_typ) env stmts)
 
 and check_stmt program ret_typ env stmt =
   match stmt with
@@ -118,18 +129,8 @@ and check_stmt program ret_typ env stmt =
     env
   | Ast.Pool_init _ | Ast.Pool_destroy _ -> env
 
-(* Names must be unique per kind: a second definition would otherwise
-   be silently shadowed (lookups take the first) or merged. *)
-let check_unique kind names =
-  ignore
-    (List.fold_left
-       (fun seen name ->
-         if List.mem name seen then fail "duplicate %s %s" kind name;
-         name :: seen)
-       [] names)
-
 let check_struct program (sname, fields) =
-  check_unique ("field in struct " ^ sname) (List.map snd fields);
+  check_unique ~within:(" in struct " ^ sname) "field" (List.map snd fields);
   List.iter
     (fun (typ, fname) ->
       match typ with
@@ -148,6 +149,9 @@ let check program =
   let global_env = List.map (fun (t, n) -> (n, t)) program.Ast.globals in
   List.iter
     (fun f ->
+      check_unique
+        ~within:(" in function " ^ f.Ast.name)
+        "parameter" (List.map snd f.Ast.params);
       let env =
         List.map (fun (t, n) -> (n, t)) f.Ast.params @ global_env
       in

@@ -25,24 +25,26 @@ let test_run_batch_result_fields () =
 
 let test_config_labels_unique () =
   let labels =
-    List.map Harness.Experiment.config_label Harness.Experiment.all_configs
+    List.map Runtime.Scheme_spec.label Runtime.Scheme_spec.all
   in
   check_int "distinct labels" (List.length labels)
     (List.length (List.sort_uniq compare labels))
 
 (* ---- table 1 ---- *)
 
+module P = Harness.Paper_table
+
 let test_table1_shape () =
-  let rows = Harness.Table1.rows ~scale_divisor:8 () in
+  let rows = P.run ~scale_divisor:8 P.table1 in
   check_int "9 rows (4 utilities + 5 servers)" 9 (List.length rows);
   List.iter
-    (fun (r : Harness.Table1.row) ->
-      check_bool (r.Harness.Table1.name ^ ": ratio1 sane") true
-        (r.Harness.Table1.ratio1 > 0.85 && r.Harness.Table1.ratio1 < 3.0);
-      check_bool (r.Harness.Table1.name ^ ": ours >= pa+dummy - slack") true
-        (r.Harness.Table1.ours >= r.Harness.Table1.pa_dummy *. 0.95))
+    (fun (r : P.row) ->
+      check_bool (r.P.name ^ ": ratio1 sane") true
+        (P.value r "ratio1" > 0.85 && P.value r "ratio1" < 3.0);
+      check_bool (r.P.name ^ ": ours >= pa+dummy - slack") true
+        (P.value r "ours" >= P.value r "pa_dummy" *. 0.95))
     rows;
-  let rendered = Harness.Table1.render rows in
+  let rendered = P.render P.table1 rows in
   check_bool "render mentions enscript" true (contains rendered "enscript");
   check_bool "render mentions ftpd" true (contains rendered "ftpd")
 
@@ -52,47 +54,57 @@ let test_table1_servers_low_overhead () =
     | Some s -> s
     | None -> Alcotest.fail "fingerd missing"
   in
-  let row = Harness.Table1.server_row ~connections:5 server in
+  let row = P.row ~scale:5 P.table1 (P.Server server) in
   check_bool
-    (Printf.sprintf "server overhead < 6%% (got %.2f)" row.Harness.Table1.ratio1)
+    (Printf.sprintf "server overhead < 6%% (got %.2f)" (P.value row "ratio1"))
     true
-    (row.Harness.Table1.ratio1 < 1.06)
+    (P.value row "ratio1" < 1.06)
 
 (* ---- table 2 ---- *)
 
 let test_table2_valgrind_worse () =
-  let rows = Harness.Table2.rows ~scale_divisor:8 () in
+  let rows = P.run ~scale_divisor:8 P.table2 in
   check_int "4 utilities" 4 (List.length rows);
   List.iter
-    (fun (r : Harness.Table2.row) ->
-      check_bool (r.Harness.Table2.name ^ ": valgrind ≫ ours") true
-        (r.Harness.Table2.valgrind_slowdown > 3. *. r.Harness.Table2.ours_slowdown))
+    (fun (r : P.row) ->
+      check_bool (r.P.name ^ ": valgrind ≫ ours") true
+        (P.value r "valgrind_slowdown" > 3. *. P.value r "ours_slowdown"))
     rows;
-  ignore (Harness.Table2.render rows)
+  ignore (P.render P.table2 rows)
 
 (* ---- table 3 ---- *)
 
 let test_table3_shape () =
-  let rows = Harness.Table3.rows ~scale_divisor:4 () in
+  let rows = P.run ~scale_divisor:4 P.table3 in
   check_int "9 olden rows" 9 (List.length rows);
-  let find name =
-    List.find (fun (r : Harness.Table3.row) -> r.Harness.Table3.name = name) rows
+  let ratio3 name =
+    P.value (List.find (fun (r : P.row) -> r.P.name = name) rows) "ratio3"
   in
   (* The qualitative ordering the paper reports: health is the worst
      case; em3d and power are the mildest. *)
-  check_bool "health worse than em3d" true
-    ((find "health").Harness.Table3.ratio3 > (find "em3d").Harness.Table3.ratio3);
-  check_bool "health worse than power" true
-    ((find "health").Harness.Table3.ratio3
-     > (find "power").Harness.Table3.ratio3);
+  check_bool "health worse than em3d" true (ratio3 "health" > ratio3 "em3d");
+  check_bool "health worse than power" true (ratio3 "health" > ratio3 "power");
   check_bool "health is heavy (>= 3x at reduced scale)" true
-    ((find "health").Harness.Table3.ratio3 >= 3.0);
+    (ratio3 "health" >= 3.0);
   List.iter
-    (fun (r : Harness.Table3.row) ->
-      check_bool (r.Harness.Table3.name ^ " slowdown >= ~1") true
-        (r.Harness.Table3.ratio3 >= 0.9))
+    (fun (r : P.row) ->
+      check_bool (r.P.name ^ " slowdown >= ~1") true
+        (P.value r "ratio3" >= 0.9))
     rows;
-  ignore (Harness.Table3.render rows)
+  ignore (P.render P.table3 rows)
+
+(* ---- all three tables ---- *)
+
+(* Table 2 reads Table 1's LLVM-base and ours cells, so the three
+   tables' 45 + 12 + 36 cells are 85 distinct simulations. *)
+let test_tables_share_cells () =
+  let cells = P.measure ~scale_divisor:16 P.all in
+  check_int "distinct cells" 85 (List.length cells);
+  List.iter
+    (fun t ->
+      check_bool "table from shared cells = table alone" true
+        (P.rows cells t = P.run ~scale_divisor:16 t))
+    P.all
 
 (* ---- §4.3 ---- *)
 
@@ -233,6 +245,7 @@ let () =
           Alcotest.test_case "table2 valgrind worse" `Slow
             test_table2_valgrind_worse;
           Alcotest.test_case "table3 shape" `Slow test_table3_shape;
+          Alcotest.test_case "cells shared" `Slow test_tables_share_cells;
           Alcotest.test_case "renderer" `Quick test_table_render;
         ] );
       ( "addr-space",

@@ -188,7 +188,16 @@ let test_typecheck_duplicates () =
   expect_type_error "void main() { } void main() { print(1); }";
   expect_type_error "struct s { int v; } struct s { int w; int x; } void main() { }";
   expect_type_error "int g; int g; void main() { }";
-  expect_type_error "struct s { int v; struct s *v; } void main() { }"
+  expect_type_error "struct s { int v; struct s *v; } void main() { }";
+  expect_type_error
+    "void f(int a, int a) { print(a); } void main() { f(1, 2); }";
+  expect_type_error "void main() { int x = 1; int x = 2; print(x); }";
+  expect_type_error
+    "void main() { int x = 1; while (x) { int y = 0; int y = 1; x = y; } }";
+  (* an inner block may still shadow an outer name *)
+  Minic.Typecheck.check
+    (Minic.Parser.parse
+       "void main() { int x = 1; if (x) { int x = 2; print(x); } }")
 
 (* ---- points-to + escape ---- *)
 
